@@ -26,9 +26,8 @@
 #include "common/statistics.hh"
 #include "common/table.hh"
 #include "harness/batch_runner.hh"
+#include "harness/executor.hh"
 #include "harness/experiment.hh"
-#include "harness/process_pool.hh"
-#include "harness/result_cache.hh"
 #include "harness/trace_report.hh"
 
 namespace tp::bench {
@@ -42,21 +41,12 @@ struct FigureOptions
     std::vector<std::string> benchmarks; //!< empty = all 19
     std::size_t jobs = 1; //!< simulation worker threads (--jobs)
     /**
-     * Multi-process execution (--workers/--worker-bin): when
-     * pool.workers > 0 the plan runs across spawned
-     * taskpoint_worker processes instead of in-process threads,
-     * with byte-identical deterministic output.
+     * Execution environment (--jobs, --workers, --cache-dir,
+     * --checkpoint-dir, ...): in-process threads or a private local
+     * dispatch campaign, with byte-identical deterministic output
+     * (see harness/executor.hh).
      */
-    harness::ProcessPoolOptions pool;
-    /** Result cache (--cache-dir/--cache); may be null. */
-    std::shared_ptr<harness::ResultCache> cache;
-    /**
-     * Warm-state checkpoint store (--checkpoint-dir); may be null.
-     * In-process runs record/restore through it directly; with
-     * --workers the pool forwards the directory to its workers
-     * (pool.checkpointDir) instead.
-     */
-    std::shared_ptr<harness::ResultCache> checkpoints;
+    std::shared_ptr<const harness::Executor> executor;
     /** Replay this serialized plan instead of the built one. */
     std::string planFile;
     /** Serialize the plan about to run to this path. */
@@ -155,16 +145,7 @@ parseFigureOptions(int argc, char **argv,
     o.benchmarks = args.getList("benchmarks", {});
     validateBenchmarks(o.benchmarks);
     o.jobs = jobsFlag(args, o.jobs);
-    o.pool = harness::processPoolFromCli(args);
-    // Multi-process runs consult the cache and checkpoint store
-    // inside the workers (the pool forwards --cache-dir/--cache and
-    // --checkpoint-dir); a driver-side instance would only ever
-    // report zero hits.
-    if (o.pool.workers == 0) {
-        o.cache = harness::resultCacheFromCli(args);
-        o.checkpoints = harness::openCheckpointDir(
-            args.getString(kCheckpointDirOption, ""));
-    }
+    o.executor = std::make_shared<const harness::Executor>(args);
     if (plan == PlanCli::Supported) {
         o.planFile = args.getString("plan", "");
         o.savePlanFile = args.getString("save-plan", "");
@@ -179,8 +160,7 @@ parseFigureOptions(int argc, char **argv,
 inline void
 reportCacheStats(const FigureOptions &opts)
 {
-    if (opts.cache)
-        harness::progress(opts.cache->statsLine());
+    opts.executor->reportCacheStats();
 }
 
 /** @return the selected workload names (default: all of Table I). */
@@ -266,20 +246,6 @@ applyPlanOptions(const FigureOptions &opts,
     return built;
 }
 
-/** @return BatchOptions assembled from the figure options. */
-inline harness::BatchOptions
-figureBatchOptions(const FigureOptions &opts)
-{
-    harness::BatchOptions bo;
-    bo.jobs = opts.jobs;
-    bo.progress = true;
-    bo.cache = opts.cache.get();
-    bo.checkpoints = opts.checkpoints.get();
-    bo.collectTimelines =
-        !opts.traceOut.empty() || !opts.traceStats.empty();
-    return bo;
-}
-
 /**
  * Copies each figure result into the executor's trace sinks while
  * forwarding the original to the figure's own sink. Trace-sink
@@ -320,15 +286,10 @@ class FigureTraceTee final : public harness::ResultSink
 };
 
 /**
- * Executes a figure's plans either in-process or multi-process.
- *
- * Holds one BatchRunner for the in-process path, so a driver running
- * several plans (references, then a sampled sweep) realizes each
- * trace once and shares it — and resolveTrace() works for structure
- * statistics in both modes. With `--workers=N` every run() is
- * delegated to a ProcessPool of spawned taskpoint_worker processes;
- * both paths honour the same ordered-sink contract, so a figure's
- * deterministic output is byte-identical either way.
+ * Executes a figure's plans through the figure's harness::Executor
+ * (in-process or a local campaign, decided there), whose single
+ * BatchRunner lets a driver running several plans (references, then
+ * a sampled sweep) realize each trace once and share it.
  *
  * `--trace-out`/`--trace-stats` tee every run's results into a
  * ChromeTraceSink / TimelineStatsSink spanning all plans the
@@ -337,8 +298,7 @@ class FigureTraceTee final : public harness::ResultSink
 class PlanExecutor
 {
   public:
-    explicit PlanExecutor(const FigureOptions &opts)
-        : opts_(&opts), runner_(figureBatchOptions(opts))
+    explicit PlanExecutor(const FigureOptions &opts) : opts_(&opts)
     {
         if (!opts.traceOut.empty()) {
             traceSinks_.push_back(
@@ -362,10 +322,10 @@ class PlanExecutor
         harness::ResultSink &sink) const
     {
         if (taps_.empty()) {
-            runRaw(plan, sink);
+            opts_->executor->run(plan, sink);
         } else {
             FigureTraceTee tee(sink, taps_);
-            runRaw(plan, tee);
+            opts_->executor->run(plan, tee);
         }
     }
 
@@ -382,22 +342,11 @@ class PlanExecutor
     std::shared_ptr<const trace::TaskTrace>
     resolveTrace(const harness::JobSpec &job) const
     {
-        return runner_.resolveTrace(job);
+        return opts_->executor->resolveTrace(job);
     }
 
   private:
-    void
-    runRaw(const harness::ExperimentPlan &plan,
-           harness::ResultSink &sink) const
-    {
-        if (opts_->pool.workers > 0)
-            harness::ProcessPool(opts_->pool).run(plan, sink);
-        else
-            runner_.run(plan, sink);
-    }
-
     const FigureOptions *opts_;
-    harness::BatchRunner runner_;
     std::vector<std::unique_ptr<harness::ResultSink>> traceSinks_;
     std::vector<harness::ResultSink *> taps_;
 };

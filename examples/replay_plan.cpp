@@ -18,8 +18,9 @@
  * row streams to files. Deterministic fields of the report are
  * byte-identical to running the plan in the process that built it —
  * only host wall-clock columns differ — and `--workers=N` executes
- * the plan across spawned taskpoint_worker processes with the same
- * guarantee. `--list` inspects the jobs without simulating anything.
+ * the plan as a local dispatch campaign over N spawned runner
+ * processes with the same guarantee (see harness/executor.hh).
+ * `--list` inspects the jobs without simulating anything.
  */
 
 #include <cstdio>
@@ -27,9 +28,7 @@
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "harness/batch_runner.hh"
-#include "harness/process_pool.hh"
-#include "harness/result_cache.hh"
+#include "harness/executor.hh"
 #include "harness/trace_report.hh"
 
 using namespace tp;
@@ -126,30 +125,9 @@ main(int argc, char **argv)
                 .get());
     harness::TeeSink tee(std::move(sinks));
 
-    const harness::ProcessPoolOptions poolOpts =
-        harness::processPoolFromCli(args);
-    if (poolOpts.workers > 0) {
-        // Multi-process: workers consult the cache and checkpoint
-        // store themselves (the pool forwards the directories) and
-        // ship timelines back when a trace sink is active.
-        harness::ProcessPool(poolOpts).run(plan, tee);
-    } else {
-        const std::unique_ptr<harness::ResultCache> cache =
-            harness::resultCacheFromCli(args);
-        const std::unique_ptr<harness::ResultCache> checkpoints =
-            harness::openCheckpointDir(
-                args.getString(kCheckpointDirOption, ""));
-        harness::BatchOptions opts;
-        opts.jobs = jobsFlag(args, 1);
-        opts.progress = true;
-        opts.cache = cache.get();
-        opts.checkpoints = checkpoints.get();
-        opts.collectTimelines =
-            !traceOut.empty() || !traceStats.empty();
-        harness::BatchRunner(opts).run(plan, tee);
-        if (cache)
-            harness::progress(cache->statsLine());
-    }
+    const harness::Executor executor(args);
+    executor.run(plan, tee);
+    executor.reportCacheStats();
 
     if (stats.errorStats().count() > 0) {
         const RunningStats &err = stats.errorStats();

@@ -105,8 +105,8 @@ CliArgs::CliArgs(int argc, const char *const *argv,
 
     // Fault-plan activation (common/fault_injection.hh). The flag
     // wins over the environment and re-exports it so spawned
-    // workers and runners inherit the schedule; with only the
-    // variable set, install once (idempotent across repeated CliArgs
+    // runners inherit the schedule; with only the variable set,
+    // install once (idempotent across repeated CliArgs
     // constructions, which must not reset fault occurrence counts).
     const std::string faultPlan = getString(kFaultPlanOption, "");
     if (!faultPlan.empty()) {
@@ -232,17 +232,18 @@ CliOption
 workersCliOption()
 {
     return {kWorkersOption,
-            "out-of-process worker count: N spawns N "
-            "taskpoint_worker processes, 'auto' uses the host's "
-            "hardware concurrency, 0 runs in-process (default 0)"};
+            "out-of-process runner count: N runs the plan as a "
+            "local dispatch campaign over N spawned runner "
+            "processes, 'auto' uses the host's hardware "
+            "concurrency, 0 runs in-process (default 0)"};
 }
 
 CliOption
 workerBinCliOption()
 {
     return {kWorkerBinOption,
-            "path of the taskpoint_worker binary (default: next to "
-            "this executable)"};
+            "runner binary --workers spawns (default: "
+            "taskpoint_dispatch next to this executable)"};
 }
 
 CliOption
@@ -329,10 +330,10 @@ CliOption
 maxRetriesCliOption()
 {
     return {kMaxRetriesOption,
-            "attempts per shard before a multi-process or "
-            "distributed run fails: spawn retries for --workers, "
-            "steal/re-split rounds for taskpoint_dispatch "
-            "(default 3, range 1-100)"};
+            "attempts per shard before a --workers or "
+            "taskpoint_dispatch campaign fails; each new attempt "
+            "re-splits a dead runner's remaining jobs (default 3, "
+            "range 1-100)"};
 }
 
 CliOption
@@ -360,8 +361,7 @@ faultPlanCliOption()
     return {kFaultPlanOption,
             "load a deterministic fault-injection schedule from "
             "this file and export TASKPOINT_FAULT_PLAN so spawned "
-            "workers and runners inherit it (chaos testing; see "
-            "README)"};
+            "runners inherit it (chaos testing; see README)"};
 }
 
 std::size_t

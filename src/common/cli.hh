@@ -114,8 +114,9 @@ extern const char *const kJobsOption;
 
 /**
  * Canonical names of the multi-process options ("workers",
- * "worker-bin"). Drivers that can hand a plan to a ProcessPool list
- * both and build the pool with harness::processPoolFromCli().
+ * "worker-bin"). Drivers that can run a plan out of process list
+ * both and run their plans through a harness::Executor, which turns
+ * `--workers=N` into a local dispatch campaign of N runners.
  */
 extern const char *const kWorkersOption;
 extern const char *const kWorkerBinOption;
@@ -140,9 +141,9 @@ extern const char *const kCheckpointDirOption;
 
 /**
  * Canonical name of the fault-tolerance budget option
- * ("max-retries"): attempts per shard before a ProcessPool run
- * fails, and steal/re-split rounds per shard lineage before a
- * dispatch campaign fails.
+ * ("max-retries"): steal/re-split rounds per shard lineage before a
+ * dispatch campaign (including the local one behind `--workers`)
+ * fails.
  */
 extern const char *const kMaxRetriesOption;
 
@@ -161,8 +162,8 @@ extern const char *const kTraceStatsOption;
  * of a deterministic fault schedule (common/fault_injection.hh).
  * Every CliArgs construction also honors the TASKPOINT_FAULT_PLAN
  * environment variable, so binaries that do not list the option —
- * and spawned workers and runners — still load the plan; the flag
- * form re-exports the variable so children inherit it.
+ * and spawned runners — still load the plan; the flag form
+ * re-exports the variable so children inherit it.
  */
 extern const char *const kFaultPlanOption;
 
@@ -194,7 +195,7 @@ CliOption traceStatsCliOption();
 CliOption faultPlanCliOption();
 
 /**
- * Shard attempt budget from `--max-retries=N` (range-validated to
+ * Shard lineage budget from `--max-retries=N` (range-validated to
  * [1, 100]); absent means `fallback`. The binary must list
  * kMaxRetriesOption among its allowed options for users to set it.
  */
@@ -211,7 +212,7 @@ std::size_t maxRetriesFlag(const CliArgs &args,
 std::size_t jobsFlag(const CliArgs &args, std::size_t fallback = 1);
 
 /**
- * Out-of-process worker count from `--workers=N` / `--workers=auto`.
+ * Out-of-process runner count from `--workers=N` / `--workers=auto`.
  *
  * `auto` selects the host's hardware concurrency; absent or
  * `--workers=0` means run in-process. The binary must list

@@ -18,10 +18,9 @@
  * nothing (perf_smoke's fault-overhead probe holds this to within
  * noise). Plans load from `--fault-plan=<file>` or the
  * TASKPOINT_FAULT_PLAN environment variable; the CLI layer exports
- * the variable so spawned workers and runners inherit the plan,
- * and an optional `once` marker prefix arbitrates fleet-wide faults
- * (e.g. "exactly one runner aborts") through O_CREAT|O_EXCL claims,
- * the same idiom as the worker kill-once test hook.
+ * the variable so spawned runners inherit the plan, and an
+ * optional `once` marker prefix arbitrates fleet-wide faults (e.g.
+ * "exactly one runner aborts") through O_CREAT|O_EXCL claims.
  */
 
 #ifndef TP_COMMON_FAULT_INJECTION_HH
@@ -179,7 +178,7 @@ void installFaultPlan(FaultPlan plan);
 /** Remove the installed plan (same caveat as installFaultPlan). */
 void clearFaultPlan();
 
-/** Plan-file path inherited by spawned workers and runners. */
+/** Plan-file path inherited by spawned runners. */
 inline constexpr const char *kFaultPlanEnvVar =
     "TASKPOINT_FAULT_PLAN";
 

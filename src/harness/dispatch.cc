@@ -15,6 +15,7 @@
 
 #include "common/backoff.hh"
 #include "common/binary_io.hh"
+#include "common/cli.hh"
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
 #include "common/subprocess.hh"
@@ -32,18 +33,29 @@ namespace {
 const char *const kTaskSuffix = ".tpshard";
 const char *const kStreamSuffix = ".tprs";
 
-/** See g_runCounter in process_pool.cc: unique temp spools per run. */
+/**
+ * Process-wide campaign counter for temp-spool names: two campaigns
+ * in one process (or one after a failed cleanup) must never resolve
+ * the same spool, or stale result streams of the earlier one would
+ * be collected as current ones.
+ */
 std::atomic<std::uint64_t> g_spoolCounter{0};
 
+/**
+ * The taskpoint_dispatch binary next to the running executable (so
+ * taskpoint_dispatch re-enters itself in runner mode, and drivers
+ * and tests find the one built beside them); plain
+ * "taskpoint_dispatch" (PATH lookup) when the running binary's
+ * directory cannot be determined.
+ */
 std::string
-selfBinary()
+defaultRunnerBinary()
 {
     std::error_code ec;
     const fs::path self = fs::read_symlink("/proc/self/exe", ec);
-    if (ec)
-        fatal("dispatch: cannot resolve /proc/self/exe to spawn "
-              "local runners; pass an explicit runner binary");
-    return self.string();
+    if (ec || !self.has_parent_path())
+        return "taskpoint_dispatch";
+    return (self.parent_path() / "taskpoint_dispatch").string();
 }
 
 std::string
@@ -272,17 +284,17 @@ runDispatchRunner(const DispatchRunnerOptions &options)
     if (options.spoolDir.empty())
         fatal("dispatch runner: a spool directory is required");
     SpoolPaths spool(options.spoolDir);
-    // Idempotent: a runner may join before the coordinator created
-    // the spool (cluster schedulers start jobs in any order).
-    createSpool(spool);
     const std::string id = options.runnerId.empty()
                                ? defaultRunnerId()
                                : options.runnerId;
+    // Only the heartbeat directory, which no coordinator ever
+    // resets, is created up front. A runner may join before its
+    // coordinator (cluster schedulers start jobs in any order) or
+    // while one starts up and wipes queue/, claimed/, done/ and
+    // results/; the claim loop and the shard execution re-create
+    // what they write into right before using it.
     std::error_code ec;
-    fs::create_directories(spool.claimedDir(id), ec);
-    if (ec)
-        fatal("dispatch runner: cannot create claim directory: %s",
-              ec.message().c_str());
+    fs::create_directories(spool.runners, ec);
 
     HeartbeatWriter heartbeat(spool.heartbeatFile(id),
                               options.heartbeatInterval);
@@ -366,6 +378,13 @@ struct TaskState
     bool stolen = false;
     /** Seen in some runner's claimed/ directory. */
     bool claimed = false;
+    /** Seen in done/ before a tail pass over the stream started. */
+    bool markedDone = false;
+    /**
+     * Tailed once after markedDone: the runner flushed every append
+     * before marking the task done, so the stream is final.
+     */
+    bool drained = false;
     /**
      * Last observed forward motion: publish, first sighting of the
      * claim, or results arriving on the stream. Drives the
@@ -390,20 +409,11 @@ struct LocalRunner
     bool exited = false;
 };
 
-} // namespace
-
+/** runDispatchCampaign() after validation and slice expansion. */
 void
-runDispatchCampaign(const ExperimentPlan &plan,
-                    const DispatchOptions &options, ResultSink &sink)
+runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
+            ResultSink &sink)
 {
-    validatePlanJobs(plan);
-    if (options.spoolDir.empty() && options.localRunners == 0)
-        fatal("dispatch: a temp spool without local runners can "
-              "never make progress; pass a spool directory or a "
-              "runner count");
-    if (options.maxRetries == 0)
-        fatal("dispatch: at least one attempt per lineage needed");
-
     const bool ownSpool = options.spoolDir.empty();
     std::string root = options.spoolDir;
     if (root.empty())
@@ -521,11 +531,12 @@ runDispatchCampaign(const ExperimentPlan &plan,
     std::size_t spawned = 0;
     const std::size_t spawnBudget =
         options.localRunners * (options.maxRetries + 1);
-    const std::string runnerBin = options.localRunners == 0
-                                      ? std::string()
-                                      : (options.runnerBinary.empty()
-                                             ? selfBinary()
-                                             : options.runnerBinary);
+    // An empty plan publishes no task; spawning runners for it
+    // would only cost their start-up.
+    const std::size_t fleet = tasks.empty() ? 0 : options.localRunners;
+    const std::string runnerBin = options.runnerBinary.empty()
+                                      ? defaultRunnerBinary()
+                                      : options.runnerBinary;
     const auto spawnRunner = [&]() {
         LocalRunner lr;
         lr.id = strprintf("local-%zu", spawned);
@@ -540,6 +551,8 @@ runDispatchCampaign(const ExperimentPlan &plan,
             argv.push_back("--cache-dir=" + options.cacheDir);
             argv.push_back("--cache=" + options.cacheMode);
         }
+        if (!options.checkpointDir.empty())
+            argv.push_back("--checkpoint-dir=" + options.checkpointDir);
         SubprocessOptions so;
         so.stderrPath =
             (fs::path(spool.runners) / (lr.id + ".err")).string();
@@ -551,8 +564,6 @@ runDispatchCampaign(const ExperimentPlan &plan,
                                static_cast<int>(lr.process.pid())));
         locals.push_back(std::move(lr));
     };
-    for (std::size_t i = 0; i < options.localRunners; ++i)
-        spawnRunner();
 
     const auto shutdown = [&]() {
         std::ofstream(spool.stopFile) << "stop\n";
@@ -640,13 +651,30 @@ runDispatchCampaign(const ExperimentPlan &plan,
     PollBackoff backoff(std::chrono::milliseconds(1),
                         std::chrono::milliseconds(100));
     try {
+        for (std::size_t i = 0; i < fleet; ++i)
+            spawnRunner();
         while (!merger.complete()) {
             bool progressed = false;
             const auto now = std::chrono::steady_clock::now();
 
+            // Done markers, read *before* the tail pass: a runner
+            // flushes every append before it marks a task done, so
+            // whatever a marked task's stream still lacks after this
+            // pass was never published (a torn final append) and is
+            // stolen instead of awaited.
+            std::error_code ec;
+            for (const auto &entry :
+                 fs::directory_iterator(spool.done, ec)) {
+                const auto it =
+                    tasks.find(entry.path().stem().string());
+                if (it != tasks.end())
+                    it->second.markedDone = true;
+            }
+
             for (auto &[task, t] : tasks) {
-                if (t.failed)
+                if (t.failed || t.drained)
                     continue;
+                const bool markedDone = t.markedDone;
                 try {
                     std::vector<std::string> payloads;
                     t.reader->poll(payloads);
@@ -684,6 +712,19 @@ runDispatchCampaign(const ExperimentPlan &plan,
                     t.failed = true;
                     stealTask(t, e.what());
                     progressed = true;
+                    continue;
+                }
+                if (!markedDone)
+                    continue;
+                t.drained = true;
+                if (std::any_of(t.shard.jobs.begin(), t.shard.jobs.end(),
+                                [&](const ShardJob &sj) {
+                                    return !merger.collected(
+                                        static_cast<std::size_t>(
+                                            sj.planIndex));
+                                })) {
+                    stealTask(t, "task done with results missing");
+                    progressed = true;
                 }
             }
             if (merger.complete())
@@ -691,7 +732,6 @@ runDispatchCampaign(const ExperimentPlan &plan,
 
             // Heartbeats: liveness is *content change* against our
             // own monotonic clock — no cross-host time comparison.
-            std::error_code ec;
             for (const auto &entry :
                  fs::directory_iterator(spool.runners, ec)) {
                 if (entry.path().extension() != ".hb")
@@ -792,7 +832,7 @@ runDispatchCampaign(const ExperimentPlan &plan,
                     : std::max(options.deadAfter * 30,
                                std::chrono::milliseconds(60000));
             for (auto &[task, t] : tasks) {
-                if (!t.claimed || t.stolen)
+                if (!t.claimed || t.stolen || t.drained)
                     continue;
                 // Doubling per generation keeps a genuinely slow
                 // lineage from burning its whole retry budget on
@@ -849,6 +889,73 @@ runDispatchCampaign(const ExperimentPlan &plan,
         std::error_code rec;
         fs::remove_all(spool.root, rec); // best effort
     }
+}
+
+} // namespace
+
+void
+runDispatchCampaign(const ExperimentPlan &plan,
+                    const DispatchOptions &options, ResultSink &sink)
+{
+    // Fail fast: a malformed plan must not spawn a single runner.
+    validatePlanJobs(plan);
+    if (options.spoolDir.empty() && options.localRunners == 0)
+        fatal("dispatch: a temp spool without local runners can "
+              "never make progress; pass a spool directory or a "
+              "runner count");
+    if (options.maxRetries == 0)
+        fatal("dispatch: at least one attempt per lineage needed");
+
+    // Live-points: expand sampled jobs with recorded checkpoints into
+    // per-interval slices before sharding, so one job's slices spread
+    // across the fleet; the runners restore the checkpoints and the
+    // merging sink reassembles the original result stream.
+    if (!options.checkpointDir.empty() && !options.collectTimelines) {
+        const std::unique_ptr<ResultCache> checkpoints =
+            openCheckpointDir(options.checkpointDir);
+        const std::size_t lanes =
+            std::max<std::size_t>(options.localRunners, 1) *
+            std::max<std::size_t>(options.jobsPerRunner, 1);
+        CheckpointExpansion ex = expandCheckpointSlices(
+            plan, *checkpoints, static_cast<std::uint32_t>(lanes));
+        if (ex.expanded) {
+            if (options.progress)
+                progress(strprintf("checkpoints: expanded %zu jobs "
+                                   "into %zu slice jobs",
+                                   plan.jobs.size(),
+                                   ex.plan.jobs.size()));
+            SliceMergingSink merging(sink, std::move(ex.groups));
+            runCampaign(ex.plan, options, merging);
+            return;
+        }
+    }
+    runCampaign(plan, options, sink);
+}
+
+DispatchOptions
+localCampaignFromCli(const CliArgs &args)
+{
+    DispatchOptions o;
+    o.localRunners = workersFlag(args);
+    // One task (and result stream) per runner keeps the spool small;
+    // a dead runner's remainder is re-split across the survivors.
+    o.shards = static_cast<std::uint32_t>(o.localRunners);
+    o.runnerBinary = args.getString(kWorkerBinOption, "");
+    o.jobsPerRunner = jobsFlag(args, 1);
+    o.maxRetries = maxRetriesFlag(args, o.maxRetries);
+    o.cacheDir = args.getString(kCacheDirOption, "");
+    o.cacheMode = args.getString(
+        kCacheModeOption, o.cacheDir.empty() ? "off" : "rw");
+    if (o.cacheMode == "off")
+        o.cacheDir.clear();
+    o.checkpointDir = args.getString(kCheckpointDirOption, "");
+    // Trace sinks live on the coordinator; the runners only need to
+    // know they should record and ship timelines.
+    o.collectTimelines =
+        !args.getString(kTraceOutOption, "").empty() ||
+        !args.getString(kTraceStatsOption, "").empty();
+    o.progress = true;
+    return o;
 }
 
 } // namespace tp::harness

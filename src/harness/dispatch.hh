@@ -12,9 +12,11 @@
  * (harness/worker), and append results to one envelope stream per
  * task; the coordinator live-tails every stream and merges the
  * results through a ResultMerger into any existing ResultSink in
- * plan submission order — the same sink contract BatchRunner and
- * ProcessPool honour, so a distributed campaign's deterministic
- * report is byte-identical to `--jobs=1`.
+ * plan submission order — the same sink contract BatchRunner
+ * honours, so a distributed campaign's deterministic report is
+ * byte-identical to `--jobs=1`. Every driver's `--workers=N` runs
+ * its plan as a private campaign of this kind: a temp spool and N
+ * locally spawned runners (see localCampaignFromCli).
  *
  * Spool layout (all under one root):
  *
@@ -43,7 +45,9 @@
  * heartbeat *change* against its own monotonic clock (no cross-host
  * clock comparison). A runner whose heartbeat stalls for deadAfter —
  * or whose locally spawned process exits early — is declared dead,
- * and the uncollected jobs of its claimed tasks are *stolen*:
+ * and the uncollected jobs of its claimed tasks are *stolen*
+ * (likewise the missing jobs of a task a runner marked done whose
+ * stream lacks some results, e.g. a torn final append):
  * re-split into fresh tasks of the next steal generation and
  * re-enqueued. Stolen shards copy the parent plan's baseSeed and
  * seed policy and keep each job's original plan index, so
@@ -72,6 +76,10 @@
 #include "harness/batch_runner.hh"
 #include "harness/plan_shard.hh"
 #include "harness/result_sink.hh"
+
+namespace tp {
+class CliArgs;
+}
 
 namespace tp::harness {
 
@@ -186,8 +194,9 @@ struct DispatchOptions
      */
     std::size_t localRunners = 0;
     /**
-     * Binary spawned as a local runner; empty resolves the running
-     * executable (/proc/self/exe), which re-enters runner mode.
+     * Binary spawned as a local runner; empty resolves
+     * taskpoint_dispatch next to the running executable (for
+     * taskpoint_dispatch itself: re-entering in runner mode).
      */
     std::string runnerBinary;
     /** --jobs forwarded to each local runner (threads per runner). */
@@ -195,6 +204,18 @@ struct DispatchOptions
     /** Result-cache CLI forwarded to local runners. */
     std::string cacheDir;
     std::string cacheMode = "rw";
+    /**
+     * Warm-state checkpoint store (--checkpoint-dir); empty =
+     * checkpoints off. When set, sampled jobs with recorded
+     * checkpoints are expanded into per-interval slices *before*
+     * sharding, so one job's slices spread across the fleet, and
+     * the slice results are merged back (see harness/plan_shard.hh);
+     * local runners get the directory forwarded — external runners
+     * must be started with the same --checkpoint-dir. Expansion is
+     * skipped under collectTimelines, like
+     * BatchOptions::collectTimelines.
+     */
+    std::string checkpointDir;
     /**
      * Cost-model cache probe (not owned, may be nullptr): when set,
      * shards whose every job hits this cache are scheduled first.
@@ -224,6 +245,18 @@ struct DispatchOptions
 void runDispatchCampaign(const ExperimentPlan &plan,
                          const DispatchOptions &options,
                          ResultSink &sink);
+
+/**
+ * The private local campaign behind the canonical `--workers=N|auto`
+ * option (kWorkersOption): a temp spool with N local runners spawned
+ * from `--worker-bin=PATH`, by default the taskpoint_dispatch binary
+ * next to the running executable, one shard task per runner.
+ * `--jobs` (threads per runner), `--max-retries`,
+ * `--cache-dir`/`--cache`, `--checkpoint-dir` and the trace options'
+ * "record timelines" bit are forwarded unchanged. localRunners == 0
+ * (absent or `--workers=0`) means the caller runs in-process.
+ */
+DispatchOptions localCampaignFromCli(const CliArgs &args);
 
 /** Runner-side options. */
 struct DispatchRunnerOptions

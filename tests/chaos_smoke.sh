@@ -10,9 +10,10 @@
 #     boundary: log once, count it, continue uncached)
 #  C. checkpoint recording + a seeded bit flip in a recorded blob
 #     (the restoring run must cold-replay, not diverge)
-#  D. --workers=2 + short write torn off a worker result stream,
-#     with timeline collection on (shard retry)
-#  E. --workers=2 + exactly one worker SIGKILLed mid-stream
+#  D. --workers=2 + short write torn off a runner result stream,
+#     with timeline collection on (corrupt-stream steal)
+#  E. --workers=2 + exactly one runner SIGKILLed mid-stream
+#     (dead-runner steal)
 #  F. dispatch campaign + exactly one runner SIGKILLed mid-stream
 #     (dead-runner steal)
 #  G. dispatch campaign + one runner wedged 20s mid-stream while its
@@ -55,9 +56,9 @@ test "$(wc -l <"$work/base.det")" -eq 9 # header + 8 jobs
 identical() { det "$1" >"$1.det" && diff -u "$work/base.det" "$1.det"; }
 
 # fired <stderr-file> <site>: the schedule actually injected there.
-# (Works for faults firing in the driver process itself; workers and
-# runners get their stderr redirected to files, so fleet-side faults
-# are proven through their `once` marker file instead.)
+# (Works for faults firing in the driver process itself; runners get
+# their stderr redirected to files, so fleet-side faults are proven
+# through their `once` marker file instead.)
 fired() { grep -q "fault injection: site '$2'" "$1"; }
 
 # --- A: torn rename of a cache publish, in-process ----------------
@@ -111,7 +112,7 @@ test -n "$(ls -A "$work/ckptC")"
 grep -q "checkpoints: expanded" "$work/C2.err"
 identical "$work/C2.csv"
 
-# --- D: short write torn off a worker stream, timelines on --------
+# --- D: short write torn off a runner stream, timelines on --------
 cat >"$work/D.plan" <<EOF
 taskpoint-fault-plan v1
 once $work/D.marker
@@ -121,11 +122,11 @@ EOF
     --trace-out="$work/D.trace.json" --fault-plan="$work/D.plan" \
     --csv="$work/D.csv" >"$work/D.txt" 2>"$work/D.err"
 test -f "$work/D.marker.worker.stream.append.2" # fault fired
-grep -q "retrying" "$work/D.err"        # the pool retried the shard
+grep -q "stole" "$work/D.err"           # the torn work was stolen
 identical "$work/D.csv"
 test -s "$work/D.trace.json"            # timelines still merged
 
-# --- E: exactly one worker SIGKILLed mid-stream -------------------
+# --- E: exactly one runner SIGKILLed mid-stream -------------------
 cat >"$work/E.plan" <<EOF
 taskpoint-fault-plan v1
 once $work/E.marker
@@ -135,7 +136,7 @@ EOF
     --fault-plan="$work/E.plan" \
     --csv="$work/E.csv" >"$work/E.txt" 2>"$work/E.err"
 test -f "$work/E.marker.worker.stream.append.1" # fault fired
-grep -q "retrying" "$work/E.err"
+grep -q "stole" "$work/E.err"
 identical "$work/E.csv"
 
 # --- F: exactly one dispatch runner SIGKILLed mid-stream ----------

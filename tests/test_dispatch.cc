@@ -4,8 +4,12 @@
  * the live-tailed envelope stream reader (incomplete tails withheld,
  * corruption recoverable), duplicate-idempotent ordered merging,
  * poll backoff, the scheduling cost model, bit-identical steal
- * re-splits, and an in-process coordinator/runner campaign — with
- * and without a dead runner whose work must be stolen.
+ * re-splits, the `--workers` campaign options, in-process
+ * coordinator/runner campaigns — with and without a dead runner whose
+ * work must be stolen, and with runners racing the coordinator's
+ * start-up — and campaigns over spawned taskpoint_dispatch runner
+ * processes (a runner SIGKILLed mid-stream, an unusable runner
+ * binary, checkpoint slices).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +18,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -24,8 +29,10 @@
 
 #include "common/backoff.hh"
 #include "common/cli.hh"
+#include "common/fault_injection.hh"
 #include "harness/batch_runner.hh"
 #include "harness/dispatch.hh"
+#include "harness/result_cache.hh"
 #include "harness/worker.hh"
 #include "sim/result_io.hh"
 
@@ -74,6 +81,23 @@ freshDir(const std::string &tag)
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir;
+}
+
+/**
+ * @return whether some steal generation >= 1 task of the campaign
+ *         in `spoolDir` produced a result stream (work was stolen)
+ */
+bool
+sawStolenStream(const std::string &spoolDir)
+{
+    std::error_code ec;
+    for (const auto &entry :
+         fs::directory_iterator(SpoolPaths(spoolDir).results, ec)) {
+        const auto name = parseTaskName(entry.path().stem().string());
+        if (name && name->generation > 0)
+            return true;
+    }
+    return false;
 }
 
 TEST(DispatchTaskName, RoundTripsAndSortsBySchedule)
@@ -306,6 +330,46 @@ TEST(DispatchCli, MaxRetriesFlagParsesAndDefaults)
     EXPECT_EQ(maxRetriesFlag(noneArgs, 5), 5u);
 }
 
+TEST(DispatchCli, WorkersFlagsBuildALocalCampaign)
+{
+    const std::vector<CliOption> options = {
+        workersCliOption(),       workerBinCliOption(),
+        jobsCliOption(),          maxRetriesCliOption(),
+        cacheDirCliOption(),      cacheModeCliOption(),
+        checkpointDirCliOption(), traceOutCliOption(),
+        traceStatsCliOption()};
+    const char *argv[] = {"prog",
+                          "--workers=3",
+                          "--worker-bin=/opt/runner",
+                          "--jobs=2",
+                          "--max-retries=5",
+                          "--cache-dir=/tmp/c",
+                          "--cache=ro",
+                          "--checkpoint-dir=/tmp/k",
+                          "--trace-out=/tmp/t.json"};
+    const CliArgs args(9, argv, options);
+    const DispatchOptions o = localCampaignFromCli(args);
+    EXPECT_EQ(o.localRunners, 3u);
+    EXPECT_EQ(o.shards, 3u) << "one shard task per runner";
+    EXPECT_TRUE(o.spoolDir.empty()) << "a private temp spool";
+    EXPECT_EQ(o.runnerBinary, "/opt/runner");
+    EXPECT_EQ(o.jobsPerRunner, 2u);
+    EXPECT_EQ(o.maxRetries, 5u);
+    EXPECT_EQ(o.cacheDir, "/tmp/c");
+    EXPECT_EQ(o.cacheMode, "ro");
+    EXPECT_EQ(o.checkpointDir, "/tmp/k");
+    EXPECT_TRUE(o.collectTimelines);
+
+    const char *off[] = {"prog", "--workers=0", "--cache=off",
+                         "--cache-dir=/tmp/c"};
+    const DispatchOptions inProcess =
+        localCampaignFromCli(CliArgs(4, off, options));
+    EXPECT_EQ(inProcess.localRunners, 0u)
+        << "--workers=0 must mean in-process";
+    EXPECT_TRUE(inProcess.cacheDir.empty()) << "--cache=off wins";
+    EXPECT_FALSE(inProcess.collectTimelines);
+}
+
 TEST(DispatchRunner, ExitsOnStopFile)
 {
     const fs::path spoolDir = freshDir("stopped");
@@ -329,16 +393,19 @@ TEST(DispatchRunner, ExitsOnStopFile)
 class DispatchE2E : public ::testing::Test
 {
   protected:
-    /** Run the campaign on this thread, runners on `n` threads. */
+    /**
+     * Run the campaign on this thread, runners on `n` threads that
+     * start together with it (nobody waits for their heartbeats).
+     */
     std::vector<BatchResult>
     campaign(const ExperimentPlan &plan, DispatchOptions options,
-             std::size_t n)
+             std::size_t n, const std::string &idPrefix = "thread-")
     {
         std::vector<std::thread> runners;
         for (std::size_t i = 0; i < n; ++i) {
             DispatchRunnerOptions ro;
             ro.spoolDir = options.spoolDir;
-            ro.runnerId = "thread-" + std::to_string(i);
+            ro.runnerId = idPrefix + std::to_string(i);
             ro.heartbeatInterval = milliseconds(20);
             runners.emplace_back(
                 [ro] { (void)runDispatchRunner(ro); });
@@ -392,6 +459,32 @@ TEST_F(DispatchE2E, MatchesInProcessExecutionOrderedAndExact)
     fs::remove_all(spoolDir);
 }
 
+TEST_F(DispatchE2E, RunnersRacingCoordinatorStartUpNeverAbort)
+{
+    // Runner threads start at the very moment each coordinator wipes
+    // the spool's queue/, claimed/, done/ and results/ directories.
+    // A runner must never die of a directory vanishing under it
+    // (that would abort this whole process), and every back-to-back
+    // campaign over the one spool must match in-process execution.
+    const fs::path spoolDir = freshDir("race");
+    const SpoolPaths spool(spoolDir.string());
+    const ExperimentPlan plan = smallPlan(4);
+    DispatchOptions options;
+    options.spoolDir = spoolDir.string();
+    options.shards = 2;
+    options.heartbeatInterval = milliseconds(20);
+    for (int round = 0; round < 6; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        // The previous campaign's stop file would end the new
+        // runners before they claim anything.
+        fs::remove(spool.stopFile);
+        expectMatchesInProcess(
+            plan, campaign(plan, options, 3,
+                           "round" + std::to_string(round) + "-"));
+    }
+    fs::remove_all(spoolDir);
+}
+
 TEST_F(DispatchE2E, StealsFromDeadRunnerBitIdentically)
 {
     const fs::path spoolDir = freshDir("steal");
@@ -440,18 +533,7 @@ TEST_F(DispatchE2E, StealsFromDeadRunnerBitIdentically)
     saboteur.join();
     expectMatchesInProcess(plan, results);
 
-    // The steal must actually have happened: some generation-1 task
-    // produced a result stream.
-    bool sawSteal = false;
-    std::error_code ec;
-    for (const auto &entry :
-         fs::directory_iterator(spool.results, ec)) {
-        const auto name =
-            parseTaskName(entry.path().stem().string());
-        if (name && name->generation > 0)
-            sawSteal = true;
-    }
-    EXPECT_TRUE(sawSteal)
+    EXPECT_TRUE(sawStolenStream(spoolDir.string()))
         << "no generation-1 result stream: nothing was stolen";
     fs::remove_all(spoolDir);
 }
@@ -499,6 +581,176 @@ TEST_F(DispatchE2E, ExhaustedLineageFailsTheCampaign)
     EXPECT_THROW(campaign(plan, options, 0), SimError);
     saboteur.join();
     fs::remove_all(spoolDir);
+}
+
+/**
+ * Campaigns over real runner processes: the taskpoint_dispatch
+ * binary resolved next to this test binary (both live in the build
+ * directory), spawned by the coordinator as `--workers` does.
+ */
+class DispatchLocalRunners : public DispatchE2E
+{
+  protected:
+    void
+    SetUp() override
+    {
+        std::error_code ec;
+        const fs::path self = fs::read_symlink("/proc/self/exe", ec);
+        const fs::path runner = self.parent_path() / "taskpoint_dispatch";
+        if (ec || !fs::exists(runner))
+            GTEST_SKIP() << "taskpoint_dispatch not found next to the "
+                            "test binary ("
+                         << runner << ")";
+    }
+
+    static DispatchOptions
+    localOptions(std::size_t runners)
+    {
+        DispatchOptions o;
+        o.localRunners = runners;
+        o.shards = static_cast<std::uint32_t>(runners);
+        o.heartbeatInterval = milliseconds(50);
+        return o;
+    }
+
+    static std::vector<BatchResult>
+    run(const ExperimentPlan &plan, const DispatchOptions &options)
+    {
+        CollectingSink sink;
+        runDispatchCampaign(plan, options, sink);
+        return sink.take();
+    }
+};
+
+/**
+ * Writes a fault plan and exports it for the lifetime of the guard;
+ * every runner spawned meanwhile inherits it through the environment.
+ */
+class RunnerFaultPlan
+{
+  public:
+    RunnerFaultPlan(const fs::path &file, const std::string &rules)
+    {
+        std::ofstream(file) << "taskpoint-fault-plan v1\n" << rules;
+        setenv(fault::kFaultPlanEnvVar, file.c_str(), 1);
+    }
+    ~RunnerFaultPlan() { unsetenv(fault::kFaultPlanEnvVar); }
+
+    RunnerFaultPlan(const RunnerFaultPlan &) = delete;
+    RunnerFaultPlan &operator=(const RunnerFaultPlan &) = delete;
+};
+
+TEST_F(DispatchLocalRunners, MatchesInProcessExecutionOrderedAndExact)
+{
+    const ExperimentPlan plan = smallPlan(5);
+    expectMatchesInProcess(plan, run(plan, localOptions(3)));
+}
+
+TEST_F(DispatchLocalRunners, EmptyPlanCompletes)
+{
+    EXPECT_TRUE(run(ExperimentPlan{}, localOptions(4)).empty());
+}
+
+TEST_F(DispatchLocalRunners, StealsFromRunnerKilledMidStream)
+{
+    // Exactly one runner SIGKILLs itself after its first published
+    // result; its task's two other jobs must be stolen and re-run
+    // bit-identically.
+    const fs::path dir = freshDir("killed");
+    const std::string marker = (dir / "kill").string();
+    const ExperimentPlan plan = smallPlan(6);
+    DispatchOptions options = localOptions(2); // 3 jobs per task
+    options.spoolDir = (dir / "spool").string();
+    std::vector<BatchResult> results;
+    {
+        const RunnerFaultPlan faults(
+            dir / "kill.plan",
+            "once " + marker + "\non worker.stream.append 1 abort\n");
+        results = run(plan, options);
+    }
+
+    EXPECT_TRUE(fs::exists(marker + ".worker.stream.append.1"))
+        << "the kill must actually have fired";
+    expectMatchesInProcess(plan, results);
+    EXPECT_TRUE(sawStolenStream(options.spoolDir))
+        << "no generation-1 result stream: nothing was stolen";
+    fs::remove_all(dir);
+}
+
+TEST_F(DispatchLocalRunners, StealsJobsMissingFromADoneTask)
+{
+    // The runner's third append — the last job of its only task — is
+    // torn short, so the task reaches done/ with an incomplete
+    // stream. The missing job must be stolen as soon as the task is
+    // marked done, well before the stalled-stream watchdog's span.
+    const fs::path dir = freshDir("torn");
+    const ExperimentPlan plan = smallPlan(3);
+    DispatchOptions options = localOptions(1);
+    options.spoolDir = (dir / "spool").string();
+    options.stalledAfter = std::chrono::seconds(90);
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<BatchResult> results;
+    {
+        const RunnerFaultPlan faults(
+            dir / "torn.plan",
+            "on worker.stream.append 3 short-write 5\n");
+        results = run(plan, options);
+    }
+
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::minutes(1));
+    expectMatchesInProcess(plan, results);
+    EXPECT_TRUE(sawStolenStream(options.spoolDir))
+        << "no generation-1 result stream: nothing was stolen";
+    fs::remove_all(dir);
+}
+
+TEST_F(DispatchLocalRunners, UnusableRunnerBinaryFailsOnceSpawnsRunOut)
+{
+    // A failed campaign keeps its spool for post-mortems, so give it
+    // one this test cleans up.
+    const fs::path spoolDir = freshDir("hopeless");
+    DispatchOptions options = localOptions(1);
+    options.spoolDir = spoolDir.string();
+    options.maxRetries = 2;
+    options.runnerBinary = "/bin/false";
+    EXPECT_THROW(run(smallPlan(2), options), SimError);
+    fs::remove_all(spoolDir);
+}
+
+TEST_F(DispatchLocalRunners, CheckpointSlicesMatchInProcess)
+{
+    // Record warm-state checkpoints in-process, then run the plan as
+    // a campaign over the store: its jobs must be split into slices
+    // before sharding and reassembled bit-identically.
+    const fs::path dir = freshDir("slices");
+    const std::string store = (dir / "ckpt").string();
+    const ExperimentPlan plan = smallPlan(4);
+    {
+        const std::unique_ptr<ResultCache> checkpoints =
+            openCheckpointDir(store);
+        BatchOptions record;
+        record.checkpoints = checkpoints.get();
+        (void)BatchRunner(record).run(plan);
+        ASSERT_TRUE(
+            expandCheckpointSlices(plan, *checkpoints, 2).expanded)
+            << "the recording run left nothing to slice";
+    }
+
+    DispatchOptions options = localOptions(2);
+    options.spoolDir = (dir / "spool").string();
+    options.checkpointDir = store;
+    expectMatchesInProcess(plan, run(plan, options));
+
+    bool sawSlice = false;
+    std::error_code ec;
+    for (const auto &entry : fs::directory_iterator(
+             SpoolPaths(options.spoolDir).done, ec))
+        for (const ShardJob &sj :
+             deserializeShard(entry.path().string()).jobs)
+            sawSlice |= sj.job.isSlice();
+    EXPECT_TRUE(sawSlice) << "no task carried a checkpoint slice";
+    fs::remove_all(dir);
 }
 
 } // namespace

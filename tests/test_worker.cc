@@ -1,32 +1,24 @@
 /**
  * @file
- * Tests of the multi-process result transport and coordinator: the
- * checksummed result envelope rejects truncated and bit-flipped
- * bytes with recoverable IoError, BatchResults round-trip
- * bit-identically through the wire format, and ProcessPool delivers
- * the same ordered result stream as in-process execution — including
- * with a worker killed mid-shard and with a worker binary that can
- * never succeed.
+ * Tests of the multi-process result transport: the checksummed
+ * result envelope rejects truncated and bit-flipped bytes with
+ * recoverable IoError, and BatchResults round-trip bit-identically
+ * through the wire format. Campaigns over spawned runner processes
+ * are covered in test_dispatch.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
 #include <sstream>
 
 #include "common/binary_io.hh"
-#include "common/cli.hh"
 #include "corruption_battery.hh"
 #include "harness/batch_runner.hh"
-#include "harness/process_pool.hh"
 #include "harness/worker.hh"
 #include "sim/result_io.hh"
 
 namespace tp::harness {
 namespace {
-
-namespace fs = std::filesystem;
 
 work::WorkloadParams
 tinyScale()
@@ -136,133 +128,6 @@ TEST(WorkerTransport, BatchResultRoundTripsBitIdentically)
                           std::ios::binary);
     EXPECT_THROW((void)deserializeBatchResult(in, "trunc"),
                  IoError);
-}
-
-/**
- * ProcessPool against the real taskpoint_worker binary (resolved
- * next to this test binary; both live in the build directory).
- */
-class ProcessPoolE2E : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        if (!fs::exists(defaultWorkerBinary()))
-            GTEST_SKIP()
-                << "taskpoint_worker not found next to the test "
-                   "binary (" << defaultWorkerBinary() << ")";
-    }
-};
-
-TEST_F(ProcessPoolE2E, MatchesInProcessExecutionOrderedAndExact)
-{
-    const ExperimentPlan plan = smallPlan();
-    const std::vector<BatchResult> reference =
-        BatchRunner(BatchOptions{}).run(plan);
-
-    ProcessPoolOptions po;
-    po.workers = 3;
-    CollectingSink sink;
-    ProcessPool(po).run(plan, sink);
-    const std::vector<BatchResult> &results = sink.results();
-
-    ASSERT_EQ(results.size(), reference.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        SCOPED_TRACE(reference[i].label);
-        EXPECT_EQ(results[i].index, i)
-            << "pool must deliver in submission order";
-        EXPECT_EQ(results[i].label, reference[i].label);
-        ASSERT_EQ(results[i].sampled.has_value(),
-                  reference[i].sampled.has_value());
-        if (results[i].sampled) {
-            EXPECT_EQ(results[i].sampled->result.totalCycles,
-                      reference[i].sampled->result.totalCycles);
-        }
-        ASSERT_EQ(results[i].reference.has_value(),
-                  reference[i].reference.has_value());
-        if (results[i].reference) {
-            EXPECT_EQ(results[i].reference->totalCycles,
-                      reference[i].reference->totalCycles);
-        }
-        if (results[i].comparison) {
-            EXPECT_EQ(results[i].comparison->errorPct,
-                      reference[i].comparison->errorPct);
-        }
-    }
-}
-
-TEST_F(ProcessPoolE2E, EmptyPlanCompletesWithoutWorkers)
-{
-    ProcessPoolOptions po;
-    po.workers = 4;
-    CollectingSink sink;
-    ProcessPool(po).run(ExperimentPlan{}, sink);
-    EXPECT_TRUE(sink.results().empty());
-}
-
-TEST_F(ProcessPoolE2E, SurvivesWorkerKilledMidShard)
-{
-    // The kill-once hook makes exactly one worker SIGKILL itself
-    // after its first publish; the pool must retry that shard and
-    // still deliver the full, identical, ordered result set.
-    const fs::path marker =
-        fs::path(testing::TempDir()) / "tp_pool_kill_once";
-    fs::remove(marker);
-    ASSERT_EQ(setenv(kKillOnceEnvVar, marker.c_str(), 1), 0);
-
-    const ExperimentPlan plan = smallPlan(6);
-    ProcessPoolOptions po;
-    po.workers = 2; // 3 jobs per shard: death leaves work undone
-    CollectingSink sink;
-    ProcessPool(po).run(plan, sink);
-
-    unsetenv(kKillOnceEnvVar);
-    EXPECT_TRUE(fs::exists(marker))
-        << "the kill hook must actually have fired";
-    fs::remove(marker);
-
-    const std::vector<BatchResult> reference =
-        BatchRunner(BatchOptions{}).run(plan);
-    ASSERT_EQ(sink.results().size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(sink.results()[i].index, i);
-        EXPECT_EQ(sink.results()[i].sampled->result.totalCycles,
-                  reference[i].sampled->result.totalCycles);
-    }
-}
-
-TEST_F(ProcessPoolE2E, HopelessWorkerBinaryFailsAfterMaxAttempts)
-{
-    ProcessPoolOptions po;
-    po.workers = 1;
-    po.maxAttempts = 2;
-    po.workerBinary = "/bin/false";
-    CollectingSink sink;
-    EXPECT_THROW(ProcessPool(po).run(smallPlan(2), sink), SimError);
-}
-
-TEST(ProcessPoolCli, BuildsOptionsFromFlags)
-{
-    const char *argv[] = {"prog", "--workers=3", "--jobs=2",
-                          "--cache-dir=/tmp/c", "--cache=ro"};
-    const CliArgs args(5, argv,
-                       {workersCliOption(), workerBinCliOption(),
-                        jobsCliOption(), cacheDirCliOption(),
-                        cacheModeCliOption()});
-    const ProcessPoolOptions po = processPoolFromCli(args);
-    EXPECT_EQ(po.workers, 3u);
-    EXPECT_EQ(po.jobsPerWorker, 2u);
-    EXPECT_EQ(po.cacheDir, "/tmp/c");
-    EXPECT_EQ(po.cacheMode, "ro");
-
-    const char *off[] = {"prog", "--workers=0"};
-    const CliArgs offArgs(2, off,
-                          {workersCliOption(), workerBinCliOption(),
-                           jobsCliOption(), cacheDirCliOption(),
-                           cacheModeCliOption()});
-    EXPECT_EQ(processPoolFromCli(offArgs).workers, 0u)
-        << "--workers=0 must mean in-process";
 }
 
 } // namespace

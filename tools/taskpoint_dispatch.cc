@@ -14,8 +14,13 @@
  *                      [--stalled-after=MS] [--csv=FILE]
  *                      [--json=FILE] [--trace-out=FILE]
  *                      [--trace-stats=FILE] [--cache-dir=DIR]
- *                      [--cache=off|ro|rw] [--fault-plan=FILE]
- *                      [--cost-probe] [--keep-spool]
+ *                      [--cache=off|ro|rw] [--checkpoint-dir=DIR]
+ *                      [--fault-plan=FILE] [--cost-probe]
+ *                      [--keep-spool]
+ *
+ * With --checkpoint-dir, sampled jobs with recorded checkpoints are
+ * split into per-interval slices before sharding, so one job's
+ * slices run in parallel across the fleet.
  *
  * Runner: join an existing spool (possibly on another machine via a
  * shared filesystem), claim tasks, execute them, stream results
@@ -24,8 +29,11 @@
  *   taskpoint_dispatch --runner --spool=DIR [--runner-id=NAME]
  *                      [--jobs=N] [--heartbeat=MS] [--quiet]
  *                      [--cache-dir=DIR] [--cache=off|ro|rw]
+ *                      [--checkpoint-dir=DIR]
  *
- * See README "Distributed campaigns" for the spool contract.
+ * Every driver's --workers=N spawns this binary in runner mode over
+ * a private temp spool. See README "Distributed campaigns" for the
+ * spool contract.
  */
 
 #include <chrono>
@@ -59,9 +67,15 @@ runnerMain(const CliArgs &args)
 
     const std::unique_ptr<harness::ResultCache> cache =
         harness::resultCacheFromCli(args);
+    const std::unique_ptr<harness::ResultCache> checkpoints =
+        harness::openCheckpointDir(
+            args.getString(kCheckpointDirOption, ""));
     ro.batch.jobs = jobsFlag(args, 1);
     ro.batch.progress = false; // per-job lines drown the heartbeat
     ro.batch.cache = cache.get();
+    // Runners record and restore through the store; slice expansion
+    // stays with the coordinator (runDispatchRunner turns it off).
+    ro.batch.checkpoints = checkpoints.get();
 
     const std::size_t executed = harness::runDispatchRunner(ro);
     if (ro.progress)
@@ -84,11 +98,13 @@ coordinatorMain(const CliArgs &args)
                 plan.jobs.size(),
                 harness::planDigest(plan).c_str());
 
-    harness::DispatchOptions dopt;
+    // The forwarded execution options (--jobs, --max-retries, cache,
+    // checkpoints, the trace sinks' "record timelines" bit) parse as
+    // for any driver's --workers; fleet and spool are set here.
+    harness::DispatchOptions dopt = harness::localCampaignFromCli(args);
     dopt.spoolDir = args.getString("spool", "");
     dopt.shards = static_cast<std::uint32_t>(
         args.getUintIn("shards", 0, 1, 9999));
-    dopt.maxRetries = maxRetriesFlag(args);
     dopt.heartbeatInterval = std::chrono::milliseconds(
         args.getUintIn("heartbeat", 200, 10, 60000));
     dopt.deadAfter = std::chrono::milliseconds(
@@ -98,21 +114,10 @@ coordinatorMain(const CliArgs &args)
     dopt.localRunners =
         static_cast<std::size_t>(args.getUintIn("runners", 0, 0, 256));
     dopt.runnerBinary = args.getString("runner-bin", "");
-    dopt.jobsPerRunner = jobsFlag(args, 1);
-    dopt.cacheDir = args.getString(kCacheDirOption, "");
-    dopt.cacheMode = args.getString(
-        kCacheModeOption, dopt.cacheDir.empty() ? "off" : "rw");
-    if (dopt.cacheMode == "off")
-        dopt.cacheDir.clear();
-    dopt.progress = true;
     dopt.keepSpool = args.has("keep-spool");
-    // Trace sinks live here on the coordinator; the shard tasks only
-    // carry the "record timelines" bit to the runner fleet.
     const std::string traceOut = args.getString(kTraceOutOption, "");
     const std::string traceStats =
         args.getString(kTraceStatsOption, "");
-    dopt.collectTimelines =
-        !traceOut.empty() || !traceStats.empty();
 
     std::unique_ptr<harness::ResultCache> probe;
     if (args.has("cost-probe")) {
@@ -207,7 +212,8 @@ main(int argc, char **argv)
              {"quiet", "suppress runner progress lines"},
              jobsCliOption(), maxRetriesCliOption(),
              cacheDirCliOption(), cacheModeCliOption(),
-             traceOutCliOption(), traceStatsCliOption(),
+             checkpointDirCliOption(), traceOutCliOption(),
+             traceStatsCliOption(),
              faultPlanCliOption()});
         if (args.has("runner"))
             return runnerMain(args);
