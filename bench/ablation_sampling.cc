@@ -81,7 +81,7 @@ main(int argc, char **argv)
         bench::parseFigureOptions(argc, argv, bench::PlanCli::None);
     const work::WorkloadParams wp = bench::figureWorkloadParams(opts);
 
-    const bench::PlanExecutor runner(opts);
+    const harness::Executor &runner = *opts.executor;
 
     // Detailed references per (benchmark, scheduler).
     harness::ExperimentPlan refPlan;
@@ -207,7 +207,7 @@ main(int argc, char **argv)
         }
     });
     runner.run(samPlan, sink);
-    bench::reportCacheStats(opts);
+    runner.reportCacheStats();
 
     std::vector<std::string> header = {"configuration"};
     for (const auto &n : kBenchmarks)

@@ -4,9 +4,9 @@
  *
  * Every figure of the paper's evaluation reduces to: build an
  * ExperimentPlan over the 19 workloads — one self-describing JobSpec
- * per (architecture, thread count, policy) — run it through
- * BatchRunner, and stream the results into the figure's report.
- * Single-batch figures can also save their plan to disk
+ * per (architecture, thread count, policy) — run it through the
+ * figure's harness::Executor, and stream the results into the
+ * figure's report. Single-batch figures can also save their plan to disk
  * (`--save-plan=FILE`) and replay a saved plan in a fresh process
  * (`--plan=FILE`) with byte-identical deterministic output.
  */
@@ -28,7 +28,6 @@
 #include "harness/batch_runner.hh"
 #include "harness/executor.hh"
 #include "harness/experiment.hh"
-#include "harness/trace_report.hh"
 
 namespace tp::bench {
 
@@ -42,9 +41,10 @@ struct FigureOptions
     std::size_t jobs = 1; //!< simulation worker threads (--jobs)
     /**
      * Execution environment (--jobs, --workers, --cache-dir,
-     * --checkpoint-dir, ...): in-process threads or a private local
-     * dispatch campaign, with byte-identical deterministic output
-     * (see harness/executor.hh).
+     * --checkpoint-dir, --trace-out, ...): in-process threads or a
+     * private local dispatch campaign, with byte-identical
+     * deterministic output; its trace documents span every plan the
+     * figure runs (see harness/executor.hh).
      */
     std::shared_ptr<const harness::Executor> executor;
     /** Replay this serialized plan instead of the built one. */
@@ -58,15 +58,6 @@ struct FigureOptions
      * per-run sampling-diagnostics table. 0 = figure default.
      */
     double targetError = 0.0;
-    /**
-     * Execution tracing (--trace-out/--trace-stats): merged Chrome
-     * trace-event JSON and per-core timeline statistics CSV over
-     * every job the figure runs (see harness/trace_report.hh).
-     * Observational only — never part of the plan, never changes a
-     * figure's deterministic output.
-     */
-    std::string traceOut;
-    std::string traceStats;
 };
 
 /** Whether a figure driver supports --plan/--save-plan. */
@@ -151,16 +142,7 @@ parseFigureOptions(int argc, char **argv,
         o.savePlanFile = args.getString("save-plan", "");
     }
     o.targetError = targetErrorFlag(args);
-    o.traceOut = args.getString(kTraceOutOption, "");
-    o.traceStats = args.getString(kTraceStatsOption, "");
     return o;
-}
-
-/** Emit the cache hit/miss summary when a cache is active. */
-inline void
-reportCacheStats(const FigureOptions &opts)
-{
-    opts.executor->reportCacheStats();
 }
 
 /** @return the selected workload names (default: all of Table I). */
@@ -247,120 +229,6 @@ applyPlanOptions(const FigureOptions &opts,
 }
 
 /**
- * Copies each figure result into the executor's trace sinks while
- * forwarding the original to the figure's own sink. Trace-sink
- * begin()/end() are deliberately not forwarded: one executor can run
- * several plans (references, then a sampled sweep) and the merged
- * trace document must span all of them — it is closed when the
- * executor is destroyed.
- */
-class FigureTraceTee final : public harness::ResultSink
-{
-  public:
-    FigureTraceTee(harness::ResultSink &inner,
-                   const std::vector<harness::ResultSink *> &taps)
-        : inner_(&inner), taps_(&taps)
-    {}
-
-    void
-    begin(std::size_t totalJobs) override
-    {
-        inner_->begin(totalJobs);
-    }
-
-    void
-    consume(harness::BatchResult &&result) override
-    {
-        for (harness::ResultSink *tap : *taps_) {
-            harness::BatchResult copy = result;
-            tap->consume(std::move(copy));
-        }
-        inner_->consume(std::move(result));
-    }
-
-    void end() override { inner_->end(); }
-
-  private:
-    harness::ResultSink *inner_;
-    const std::vector<harness::ResultSink *> *taps_;
-};
-
-/**
- * Executes a figure's plans through the figure's harness::Executor
- * (in-process or a local campaign, decided there), whose single
- * BatchRunner lets a driver running several plans (references, then
- * a sampled sweep) realize each trace once and share it.
- *
- * `--trace-out`/`--trace-stats` tee every run's results into a
- * ChromeTraceSink / TimelineStatsSink spanning all plans the
- * executor runs; the trace documents close on destruction.
- */
-class PlanExecutor
-{
-  public:
-    explicit PlanExecutor(const FigureOptions &opts) : opts_(&opts)
-    {
-        if (!opts.traceOut.empty()) {
-            traceSinks_.push_back(
-                std::make_unique<harness::ChromeTraceSink>(
-                    opts.traceOut));
-        }
-        if (!opts.traceStats.empty()) {
-            auto stats =
-                std::make_unique<harness::TimelineStatsSink>(
-                    opts.traceStats);
-            // One CSV header for the whole executor, not per plan.
-            stats->begin(0);
-            traceSinks_.push_back(std::move(stats));
-        }
-        for (const auto &sink : traceSinks_)
-            taps_.push_back(sink.get());
-    }
-
-    void
-    run(const harness::ExperimentPlan &plan,
-        harness::ResultSink &sink) const
-    {
-        if (taps_.empty()) {
-            opts_->executor->run(plan, sink);
-        } else {
-            FigureTraceTee tee(sink, taps_);
-            opts_->executor->run(plan, tee);
-        }
-    }
-
-    /** Convenience: run `plan` collecting into a vector. */
-    std::vector<harness::BatchResult>
-    run(const harness::ExperimentPlan &plan) const
-    {
-        harness::CollectingSink sink;
-        run(plan, sink);
-        return sink.take();
-    }
-
-    /** See BatchRunner::resolveTrace (works in both modes). */
-    std::shared_ptr<const trace::TaskTrace>
-    resolveTrace(const harness::JobSpec &job) const
-    {
-        return opts_->executor->resolveTrace(job);
-    }
-
-  private:
-    const FigureOptions *opts_;
-    std::vector<std::unique_ptr<harness::ResultSink>> traceSinks_;
-    std::vector<harness::ResultSink *> taps_;
-};
-
-/** Execute one figure plan (see PlanExecutor). */
-inline void
-runFigurePlan(const FigureOptions &opts,
-              const harness::ExperimentPlan &plan,
-              harness::ResultSink &sink)
-{
-    PlanExecutor(opts).run(plan, sink);
-}
-
-/**
  * One IPC-variation boxplot figure (Figs. 1 and 5 of the paper):
  * one detailed run per benchmark with task records, normalized
  * per-type IPC deviations, and the "box in +-5%" classification.
@@ -420,8 +288,8 @@ runIpcVariationFigure(const std::string &title,
                       fmtDouble(b.whiskerHi, 1),
                       in_band ? "yes" : "NO"});
     });
-    runFigurePlan(opts, plan, sink);
-    reportCacheStats(opts);
+    opts.executor->run(plan, sink);
+    opts.executor->reportCacheStats();
 
     table.print();
     std::printf("\n%d of %d benchmarks within +-5%%%s\n", within,
@@ -532,8 +400,8 @@ runErrorSpeedupFigure(const std::string &title,
                                    : "CI target"});
         }
     });
-    runFigurePlan(opts, plan, sink);
-    reportCacheStats(opts);
+    opts.executor->run(plan, sink);
+    opts.executor->reportCacheStats();
 
     std::vector<std::string> eavg = {"average"};
     std::vector<std::string> savg = {"average"};

@@ -56,7 +56,7 @@ main(int argc, char **argv)
         bench::parseFigureOptions(argc, argv, bench::PlanCli::None);
     const work::WorkloadParams wp = bench::figureWorkloadParams(opts);
 
-    const bench::PlanExecutor runner(opts);
+    const harness::Executor &runner = *opts.executor;
 
     // Shared detailed references: one Reference-mode job per
     // (benchmark, thread count).
@@ -132,7 +132,7 @@ main(int argc, char **argv)
         ++p.n;
     });
     runner.run(samPlan, sink);
-    bench::reportCacheStats(opts);
+    runner.reportCacheStats();
 
     const char *titles[3] = {
         "Fig. 6a: error/speedup vs warmup interval W "

@@ -53,10 +53,10 @@ main(int argc, char **argv)
             plan.jobs.push_back(j);
         }
     }
-    const bench::PlanExecutor runner(opts);
+    const harness::Executor &runner = *opts.executor;
     const std::vector<harness::BatchResult> results =
         runner.run(plan);
-    bench::reportCacheStats(opts);
+    runner.reportCacheStats();
 
     std::size_t idx = 0;
     for (const std::string &name : names) {

@@ -27,9 +27,8 @@
 #include "common/logging.hh"
 #include "common/statistics.hh"
 #include "common/table.hh"
-#include "harness/batch_runner.hh"
+#include "harness/executor.hh"
 #include "harness/experiment.hh"
-#include "harness/result_cache.hh"
 
 using namespace tp;
 
@@ -79,14 +78,9 @@ main(int argc, char **argv)
     std::printf("phase 1: lazy sampling over %zu variants of %s "
                 "(%u threads, %zu jobs)\n",
                 plan.jobs.size(), name.c_str(), threads, jobs);
-    harness::BatchOptions opts;
-    opts.jobs = jobs;
     // With a shared cache dir, the lazy sweep itself and any
     // Reference/Both-mode jobs of a campaign reuse prior work.
-    const std::unique_ptr<harness::ResultCache> cache =
-        harness::resultCacheFromCli(args);
-    opts.cache = cache.get();
-    const harness::BatchRunner runner(opts);
+    const harness::Executor runner(args);
     const std::vector<harness::BatchResult> results =
         runner.run(plan);
 
@@ -123,8 +117,7 @@ main(int argc, char **argv)
     confirmJob.mode = harness::BatchMode::Both;
     const harness::BatchResult confirm =
         runner.run(confirmPlan).front();
-    if (cache)
-        harness::progress(cache->statsLine());
+    runner.reportCacheStats();
 
     const Cycles predicted = best.sampled->result.totalCycles;
     const Cycles periodic = confirm.sampled->result.totalCycles;

@@ -12,11 +12,12 @@
  *
  * Any driver (or user code) can serialize a plan with
  * harness::serializePlan; this binary loads it, prints its digest,
- * and executes it with a streaming report: the standard batch
- * summary table plus an O(1) error-statistics accumulator, composed
- * through a TeeSink — optionally teeing machine-readable CSV/JSON
- * row streams to files. Deterministic fields of the report are
- * byte-identical to running the plan in the process that built it —
+ * and executes it with the streaming plan report
+ * (harness::runPlanReport): the standard batch summary table plus an
+ * O(1) error-statistics accumulator, optionally teeing
+ * machine-readable CSV/JSON row streams to files. Deterministic
+ * fields of the report are byte-identical to running the plan in
+ * the process that built it —
  * only host wall-clock columns differ — and `--workers=N` executes
  * the plan as a local dispatch campaign over N spawned runner
  * processes with the same guarantee (see harness/executor.hh).
@@ -29,7 +30,6 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "harness/executor.hh"
-#include "harness/trace_report.hh"
 
 using namespace tp;
 
@@ -95,45 +95,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    harness::TableSink table("replayed plan " + path);
-    harness::StatsSink stats;
-    std::vector<harness::ResultSink *> sinks = {&table, &stats};
-    std::unique_ptr<harness::CsvSink> csv;
-    if (const std::string f = args.getString("csv", ""); !f.empty())
-        sinks.push_back(
-            (csv = std::make_unique<harness::CsvSink>(f)).get());
-    std::unique_ptr<harness::JsonSink> json;
-    if (const std::string f = args.getString("json", ""); !f.empty())
-        sinks.push_back(
-            (json = std::make_unique<harness::JsonSink>(f)).get());
-    const std::string traceOut =
-        args.getString(kTraceOutOption, "");
-    const std::string traceStats =
-        args.getString(kTraceStatsOption, "");
-    std::unique_ptr<harness::ChromeTraceSink> trace;
-    if (!traceOut.empty())
-        sinks.push_back(
-            (trace = std::make_unique<harness::ChromeTraceSink>(
-                 traceOut))
-                .get());
-    std::unique_ptr<harness::TimelineStatsSink> coreStats;
-    if (!traceStats.empty())
-        sinks.push_back(
-            (coreStats =
-                 std::make_unique<harness::TimelineStatsSink>(
-                     traceStats))
-                .get());
-    harness::TeeSink tee(std::move(sinks));
-
     const harness::Executor executor(args);
-    executor.run(plan, tee);
-    executor.reportCacheStats();
-
-    if (stats.errorStats().count() > 0) {
-        const RunningStats &err = stats.errorStats();
-        std::printf("error over %zu comparisons: mean %.2f%%, "
-                    "max %.2f%%\n",
-                    err.count(), err.mean(), err.max());
-    }
+    harness::runPlanReport(executor, plan, "replayed plan " + path,
+                           args);
     return 0;
 }

@@ -124,7 +124,7 @@ extern const char *const kWorkerBinOption;
 /**
  * Canonical names of the result-cache options ("cache-dir",
  * "cache"). Drivers that batch simulations list both among their
- * options and build the cache with harness::resultCacheFromCli().
+ * options; their harness::Executor builds the cache.
  */
 extern const char *const kCacheDirOption;
 extern const char *const kCacheModeOption;
@@ -151,8 +151,9 @@ extern const char *const kMaxRetriesOption;
  * Canonical names of the trace-report options: "trace-out" writes a
  * merged Chrome trace-event JSON of every executed job, "trace-stats"
  * writes per-core timeline statistics CSV (see
- * harness/trace_report.hh). Both are execution-environment options —
- * they never change plan digests or deterministic report columns.
+ * harness/trace_report.hh); a driver's harness::Executor owns both
+ * sinks. Both are execution-environment options — they never change
+ * plan digests or deterministic report columns.
  */
 extern const char *const kTraceOutOption;
 extern const char *const kTraceStatsOption;

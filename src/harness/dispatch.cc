@@ -208,29 +208,6 @@ expectedShardCost(const PlanShard &shard)
     return cost;
 }
 
-bool
-shardFullyCached(const PlanShard &shard, ResultCache &cache)
-{
-    // Resolve seeds exactly as the executing runner will, or the
-    // probed keys would not be the keys the runner looks up.
-    const ExperimentPlan resolved = shardPlan(shard);
-    for (const JobSpec &job : resolved.jobs) {
-        if (job.workload.empty() || job.isSlice())
-            return false; // trace-file jobs / slices bypass probing
-        const std::string digest = traceDigest(
-            work::generateWorkload(job.workload,
-                                   job.workloadParams));
-        if (job.mode != BatchMode::Sampled &&
-            !cache.contains(resultCacheKey(digest, job.spec)))
-            return false;
-        if (job.mode != BatchMode::Reference &&
-            !cache.contains(
-                sampledCacheKey(digest, job.spec, job.sampling)))
-            return false;
-    }
-    return true;
-}
-
 HeartbeatWriter::HeartbeatWriter(std::string path,
                                  std::chrono::milliseconds interval)
     : path_(std::move(path)), interval_(interval),
@@ -453,23 +430,14 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
     {
         std::size_t idx;
         double cost;
-        bool cached;
     };
     std::vector<Ranked> ranked(shards.size());
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        ranked[i].idx = i;
-        ranked[i].cost = expectedShardCost(shards[i]);
-        ranked[i].cached =
-            options.probeCache != nullptr &&
-            shardFullyCached(shards[i], *options.probeCache);
-    }
-    // Cache-hit shards first (near-instant results keep the ordered
-    // sink streaming), then longest-expected-cost first so the
-    // likely stragglers start earliest.
+    for (std::size_t i = 0; i < shards.size(); ++i)
+        ranked[i] = {i, expectedShardCost(shards[i])};
+    // Longest-expected-cost first so the likely stragglers start
+    // earliest.
     std::stable_sort(ranked.begin(), ranked.end(),
                      [](const Ranked &a, const Ranked &b) {
-                         if (a.cached != b.cached)
-                             return a.cached;
                          return a.cost > b.cost;
                      });
 
@@ -943,11 +911,12 @@ localCampaignFromCli(const CliArgs &args)
     o.runnerBinary = args.getString(kWorkerBinOption, "");
     o.jobsPerRunner = jobsFlag(args, 1);
     o.maxRetries = maxRetriesFlag(args, o.maxRetries);
-    o.cacheDir = args.getString(kCacheDirOption, "");
-    o.cacheMode = args.getString(
-        kCacheModeOption, o.cacheDir.empty() ? "off" : "rw");
-    if (o.cacheMode == "off")
-        o.cacheDir.clear();
+    if (const std::optional<ResultCacheOptions> cache =
+            resultCacheOptionsFromCli(args)) {
+        o.cacheDir = cache->dir;
+        o.cacheMode =
+            cache->mode == CacheMode::ReadOnly ? "ro" : "rw";
+    }
     o.checkpointDir = args.getString(kCheckpointDirOption, "");
     // Trace sinks live on the coordinator; the runners only need to
     // know they should record and ship timelines.

@@ -37,9 +37,8 @@
  *
  * Task names are `task-pPPPP-gGG-sSSSS` (priority, steal generation,
  * shard id), so a lexicographic scan of queue/ *is* the schedule:
- * the cost model assigns low priorities to tasks whose results are
- * expected fastest (fully cache-hit shards first, then
- * longest-expected-cost first so stragglers start early).
+ * the cost model ranks tasks longest-expected-cost first so the
+ * likely stragglers start early.
  *
  * Fault handling. Every runner heartbeats; the coordinator tracks
  * heartbeat *change* against its own monotonic clock (no cross-host
@@ -82,8 +81,6 @@ class CliArgs;
 }
 
 namespace tp::harness {
-
-class ResultCache;
 
 /** Parsed form of a spool task name (see file comment). */
 struct DispatchTaskName
@@ -140,16 +137,6 @@ double expectedJobCost(const JobSpec &job);
 
 /** Sum of expectedJobCost over a shard's jobs. */
 double expectedShardCost(const PlanShard &shard);
-
-/**
- * @return whether every job of `shard` would be served entirely
- *         from `cache` (seeds resolved exactly as a runner would).
- *         Probing is honest but not free: it generates each
- *         workload's trace to compute the cache key, so campaigns
- *         enable it explicitly (--cost-probe) when a warm cache
- *         makes hit-first scheduling worth that one-off cost.
- */
-bool shardFullyCached(const PlanShard &shard, ResultCache &cache);
 
 /** Coordinator-side campaign options. */
 struct DispatchOptions
@@ -216,11 +203,6 @@ struct DispatchOptions
      * BatchOptions::collectTimelines.
      */
     std::string checkpointDir;
-    /**
-     * Cost-model cache probe (not owned, may be nullptr): when set,
-     * shards whose every job hits this cache are scheduled first.
-     */
-    ResultCache *probeCache = nullptr;
     /** Emit one progress() line per campaign event. */
     bool progress = false;
     /** Keep a coordinator-created temp spool for post-mortems. */
@@ -253,8 +235,11 @@ void runDispatchCampaign(const ExperimentPlan &plan,
  * next to the running executable, one shard task per runner.
  * `--jobs` (threads per runner), `--max-retries`,
  * `--cache-dir`/`--cache`, `--checkpoint-dir` and the trace options'
- * "record timelines" bit are forwarded unchanged. localRunners == 0
- * (absent or `--workers=0`) means the caller runs in-process.
+ * "record timelines" bit are forwarded unchanged. The cache options
+ * are validated here, through the parse resultCacheFromCli uses, so
+ * a bad `--cache` fails before a single runner spawns.
+ * localRunners == 0 (absent or `--workers=0`) means the caller runs
+ * in-process.
  */
 DispatchOptions localCampaignFromCli(const CliArgs &args);
 

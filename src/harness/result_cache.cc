@@ -366,101 +366,89 @@ ResultCache::loadPayload(const std::string &key)
     }
 }
 
-std::optional<sim::SimResult>
-ResultCache::lookup(const std::string &key)
+template <typename T, typename Decode>
+std::optional<T>
+ResultCache::loadCounted(const std::string &key, Decode decode)
 {
-    std::optional<std::string> payload = loadPayload(key);
-    if (payload) {
+    std::optional<T> value;
+    if (std::optional<std::string> payload = loadPayload(key)) {
         try {
-            std::istringstream ps(*payload, std::ios::binary);
-            sim::SimResult result =
-                sim::deserializeResult(ps, entryPath(key));
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.hits;
-            return result;
+            value = decode(std::move(*payload));
         } catch (const std::exception &) {
             // Verified envelope but undecodable payload (e.g. an
             // entry of the other kind): treat as damaged.
         }
     }
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return std::nullopt;
+    ++(value ? stats_.hits : stats_.misses);
+    return value;
+}
+
+template <typename Encode>
+void
+ResultCache::storeGuarded(const std::string &key, Encode encode)
+{
+    if (options_.mode != CacheMode::ReadWrite)
+        return;
+    try {
+        storePayload(key, encode());
+    } catch (const std::exception &e) {
+        noteStoreFailure(e.what());
+    }
+}
+
+std::optional<sim::SimResult>
+ResultCache::lookup(const std::string &key)
+{
+    return loadCounted<sim::SimResult>(key, [&](std::string payload) {
+        std::istringstream ps(std::move(payload), std::ios::binary);
+        return sim::deserializeResult(ps, entryPath(key));
+    });
 }
 
 std::optional<SampledOutcome>
 ResultCache::lookupSampled(const std::string &key)
 {
-    std::optional<std::string> payload = loadPayload(key);
-    if (payload) {
-        try {
-            std::istringstream ps(*payload, std::ios::binary);
-            SampledOutcome outcome =
-                sim::deserializeSampledOutcome(ps, entryPath(key));
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.hits;
-            return outcome;
-        } catch (const std::exception &) {
-        }
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return std::nullopt;
+    return loadCounted<SampledOutcome>(key, [&](std::string payload) {
+        std::istringstream ps(std::move(payload), std::ios::binary);
+        return sim::deserializeSampledOutcome(ps, entryPath(key));
+    });
+}
+
+std::optional<std::string>
+ResultCache::loadBlob(const std::string &key)
+{
+    return loadCounted<std::string>(
+        key, [](std::string payload) { return payload; });
 }
 
 void
 ResultCache::store(const std::string &key,
                    const sim::SimResult &result)
 {
-    if (options_.mode != CacheMode::ReadWrite)
-        return;
-    try {
+    storeGuarded(key, [&] {
         std::ostringstream payload(std::ios::binary);
         sim::serializeResult(result, payload);
-        storePayload(key, payload.str());
-    } catch (const std::exception &e) {
-        noteStoreFailure(e.what());
-    }
+        return payload.str();
+    });
 }
 
 void
 ResultCache::storeSampled(const std::string &key,
                           const SampledOutcome &outcome)
 {
-    if (options_.mode != CacheMode::ReadWrite)
-        return;
-    try {
+    storeGuarded(key, [&] {
         std::ostringstream payload(std::ios::binary);
         sim::serializeSampledOutcome(outcome, payload);
-        storePayload(key, payload.str());
-    } catch (const std::exception &e) {
-        noteStoreFailure(e.what());
-    }
-}
-
-std::optional<std::string>
-ResultCache::loadBlob(const std::string &key)
-{
-    std::optional<std::string> payload = loadPayload(key);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (payload)
-        ++stats_.hits;
-    else
-        ++stats_.misses;
-    return payload;
+        return payload.str();
+    });
 }
 
 void
 ResultCache::storeBlob(const std::string &key,
                        const std::string &blob)
 {
-    if (options_.mode != CacheMode::ReadWrite)
-        return;
-    try {
-        storePayload(key, blob);
-    } catch (const std::exception &e) {
-        noteStoreFailure(e.what());
-    }
+    storeGuarded(key, [&]() -> const std::string & { return blob; });
 }
 
 void
@@ -617,8 +605,8 @@ ResultCache::statsLine() const
         static_cast<unsigned long long>(totalBytes_));
 }
 
-std::unique_ptr<ResultCache>
-resultCacheFromCli(const CliArgs &args)
+std::optional<ResultCacheOptions>
+resultCacheOptionsFromCli(const CliArgs &args)
 {
     const std::string dir = args.getString(kCacheDirOption, "");
     const std::string modeStr = args.getString(
@@ -634,12 +622,8 @@ resultCacheFromCli(const CliArgs &args)
         fatal("--%s expects off, ro or rw; got '%s'",
               kCacheModeOption, modeStr.c_str());
 
-    if (mode == CacheMode::Off) {
-        if (!dir.empty() && args.has(kCacheModeOption))
-            warn("--%s given but --%s=off: caching disabled",
-                 kCacheDirOption, kCacheModeOption);
-        return nullptr;
-    }
+    if (mode == CacheMode::Off)
+        return std::nullopt;
     if (dir.empty())
         fatal("--%s=%s needs --%s=DIR", kCacheModeOption,
               modeStr.c_str(), kCacheDirOption);
@@ -647,7 +631,22 @@ resultCacheFromCli(const CliArgs &args)
     ResultCacheOptions o;
     o.dir = dir;
     o.mode = mode;
-    return std::make_unique<ResultCache>(std::move(o));
+    return o;
+}
+
+std::unique_ptr<ResultCache>
+resultCacheFromCli(const CliArgs &args)
+{
+    std::optional<ResultCacheOptions> o =
+        resultCacheOptionsFromCli(args);
+    if (!o) {
+        if (!args.getString(kCacheDirOption, "").empty() &&
+            args.has(kCacheModeOption))
+            warn("--%s given but --%s=off: caching disabled",
+                 kCacheDirOption, kCacheModeOption);
+        return nullptr;
+    }
+    return std::make_unique<ResultCache>(std::move(*o));
 }
 
 std::unique_ptr<ResultCache>

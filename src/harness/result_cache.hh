@@ -245,10 +245,21 @@ class ResultCache
     std::string entryPath(const std::string &key) const;
     /**
      * Read and envelope-verify the payload bytes of `key`; updates
-     * recency on success. The typed lookup wrappers decode the
-     * payload and count hits/misses.
+     * recency on success.
      */
     std::optional<std::string> loadPayload(const std::string &key);
+    /**
+     * The one lookup path: loadPayload, then `decode` it (a throwing
+     * decoder makes the entry a miss), counting the hit or miss.
+     */
+    template <typename T, typename Decode>
+    std::optional<T> loadCounted(const std::string &key, Decode decode);
+    /**
+     * The one store path: `encode` the payload and storePayload it
+     * behind the noteStoreFailure boundary; no-op unless read-write.
+     */
+    template <typename Encode>
+    void storeGuarded(const std::string &key, Encode encode);
     /** Publish `payload` under `key` (atomic rename), then evict. */
     void storePayload(const std::string &key,
                       const std::string &payload);
@@ -282,11 +293,22 @@ class ResultCache
 };
 
 /**
- * Build a ResultCache from `--cache-dir=DIR` / `--cache={off,ro,rw}`
- * (common/cli option names kCacheDirOption / kCacheModeOption).
+ * Parse `--cache-dir=DIR` / `--cache={off,ro,rw}` (common/cli option
+ * names kCacheDirOption / kCacheModeOption) without opening
+ * anything — the one owner of the `--cache` contract.
  *
  * `--cache` defaults to `rw` when a directory is given and `off`
- * otherwise; `--cache=ro|rw` without a directory is a usage error.
+ * otherwise; an unknown mode or `--cache=ro|rw` without a directory
+ * is a usage error (SimError naming the flag).
+ *
+ * @return the cache options, or std::nullopt when caching is off
+ */
+std::optional<ResultCacheOptions>
+resultCacheOptionsFromCli(const CliArgs &args);
+
+/**
+ * Build a ResultCache from the options resultCacheOptionsFromCli
+ * parses; warns when a directory is given but `--cache=off`.
  *
  * @return the cache, or nullptr when caching is off
  */

@@ -5,8 +5,8 @@
  *
  * Both sinks consume the JobTimeline riding each BatchResult and
  * ignore everything else, so they compose with the ordinary report
- * sinks through a TeeSink without changing a byte of the CSV/JSON
- * reports. They work identically in-process, under --workers=N and
+ * sinks without changing a byte of the CSV/JSON reports; drivers
+ * get them from their harness::Executor (harness/executor.hh). They work identically in-process, under --workers=N and
  * under a dispatch campaign: timelines serialize into the worker
  * result streams, so the coordinator-side sink merges the slices of
  * a whole campaign into one document.

@@ -370,6 +370,30 @@ TEST(DispatchCli, WorkersFlagsBuildALocalCampaign)
     EXPECT_FALSE(inProcess.collectTimelines);
 }
 
+TEST(DispatchCli, WorkersRejectBadCacheFlagsBeforeSpawning)
+{
+    // The in-process path's resultCacheFromCli contract, enforced
+    // before a single runner spawns.
+    const std::vector<CliOption> options = {
+        workersCliOption(), cacheDirCliOption(), cacheModeCliOption()};
+    const auto expectCacheFlagError = [&](const char *cache,
+                                          const char *dir) {
+        SCOPED_TRACE(std::string(cache) + " " + dir);
+        const char *argv[] = {"prog", "--workers=2", cache, dir};
+        const CliArgs args(*dir != '\0' ? 4 : 3, argv, options);
+        try {
+            (void)localCampaignFromCli(args);
+            ADD_FAILURE() << "expected a SimError";
+        } catch (const SimError &e) {
+            EXPECT_NE(std::string(e.what()).find("--cache"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectCacheFlagError("--cache=rw", "");
+    expectCacheFlagError("--cache=bogus", "--cache-dir=/tmp/c");
+}
+
 TEST(DispatchRunner, ExitsOnStopFile)
 {
     const fs::path spoolDir = freshDir("stopped");

@@ -15,8 +15,7 @@
  *                      [--json=FILE] [--trace-out=FILE]
  *                      [--trace-stats=FILE] [--cache-dir=DIR]
  *                      [--cache=off|ro|rw] [--checkpoint-dir=DIR]
- *                      [--fault-plan=FILE] [--cost-probe]
- *                      [--keep-spool]
+ *                      [--fault-plan=FILE] [--keep-spool]
  *
  * With --checkpoint-dir, sampled jobs with recorded checkpoints are
  * split into per-interval slices before sharding, so one job's
@@ -44,10 +43,9 @@
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "harness/dispatch.hh"
+#include "harness/executor.hh"
 #include "harness/job_spec.hh"
 #include "harness/result_cache.hh"
-#include "harness/result_sink.hh"
-#include "harness/trace_report.hh"
 
 using namespace tp;
 
@@ -115,53 +113,10 @@ coordinatorMain(const CliArgs &args)
         static_cast<std::size_t>(args.getUintIn("runners", 0, 0, 256));
     dopt.runnerBinary = args.getString("runner-bin", "");
     dopt.keepSpool = args.has("keep-spool");
-    const std::string traceOut = args.getString(kTraceOutOption, "");
-    const std::string traceStats =
-        args.getString(kTraceStatsOption, "");
 
-    std::unique_ptr<harness::ResultCache> probe;
-    if (args.has("cost-probe")) {
-        if (dopt.cacheDir.empty())
-            fatal("--cost-probe needs a result cache "
-                  "(--cache-dir) to probe");
-        probe = harness::resultCacheFromCli(args);
-        dopt.probeCache = probe.get();
-    }
-
-    harness::TableSink table("dispatched plan " + path);
-    harness::StatsSink stats;
-    std::vector<harness::ResultSink *> sinks = {&table, &stats};
-    std::unique_ptr<harness::CsvSink> csv;
-    if (const std::string f = args.getString("csv", ""); !f.empty())
-        sinks.push_back(
-            (csv = std::make_unique<harness::CsvSink>(f)).get());
-    std::unique_ptr<harness::JsonSink> json;
-    if (const std::string f = args.getString("json", ""); !f.empty())
-        sinks.push_back(
-            (json = std::make_unique<harness::JsonSink>(f)).get());
-    std::unique_ptr<harness::ChromeTraceSink> trace;
-    if (!traceOut.empty())
-        sinks.push_back(
-            (trace = std::make_unique<harness::ChromeTraceSink>(
-                 traceOut))
-                .get());
-    std::unique_ptr<harness::TimelineStatsSink> coreStats;
-    if (!traceStats.empty())
-        sinks.push_back(
-            (coreStats =
-                 std::make_unique<harness::TimelineStatsSink>(
-                     traceStats))
-                .get());
-    harness::TeeSink tee(std::move(sinks));
-
-    harness::runDispatchCampaign(plan, dopt, tee);
-
-    if (stats.errorStats().count() > 0) {
-        const RunningStats &err = stats.errorStats();
-        std::printf("error over %zu comparisons: mean %.2f%%, "
-                    "max %.2f%%\n",
-                    err.count(), err.mean(), err.max());
-    }
+    const harness::Executor executor(args, std::move(dopt));
+    harness::runPlanReport(executor, plan, "dispatched plan " + path,
+                           args);
     return 0;
 }
 
@@ -200,9 +155,6 @@ main(int argc, char **argv)
               "span in ms after which a claimed task's silent "
               "result stream is declared stalled and its jobs "
               "stolen (default 0 = max(30*dead-after, 60s))"},
-             {"cost-probe",
-              "probe --cache-dir per job and schedule fully "
-              "cache-hit shards first"},
              {"keep-spool",
               "keep a coordinator-created temp spool for "
               "post-mortems"},
