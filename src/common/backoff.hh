@@ -5,7 +5,7 @@
  * Coordinators that tail files published by other processes
  * (harness/dispatch) have no event to wait on — they poll. A fixed
  * short interval burns a CPU core while a fleet of runners grinds
- * through a long shard; a fixed long interval adds
+ * through a long task; a fixed long interval adds
  * latency to every result. PollBackoff gives the standard compromise:
  * each fruitless poll doubles the sleep up to a cap, and any progress
  * resets it to the minimum, so a busy stream is tailed near-instantly

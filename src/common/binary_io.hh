@@ -158,8 +158,8 @@ class BinaryReader
 
 /**
  * The shared bool codec of every on-disk format: one byte, 0 or 1.
- * Centralised here so the plan, shard and result wire formats can
- * never drift apart.
+ * Centralised here so the plan and result wire formats can never
+ * drift apart.
  */
 inline void
 writeBool(BinaryWriter &w, bool v)

@@ -330,7 +330,7 @@ CliOption
 maxRetriesCliOption()
 {
     return {kMaxRetriesOption,
-            "attempts per shard before a --workers or "
+            "attempts per task before a --workers or "
             "taskpoint_dispatch campaign fails; each new attempt "
             "re-splits a dead runner's remaining jobs (default 3, "
             "range 1-100)"};

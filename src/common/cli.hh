@@ -141,7 +141,7 @@ extern const char *const kCheckpointDirOption;
 
 /**
  * Canonical name of the fault-tolerance budget option
- * ("max-retries"): steal/re-split rounds per shard lineage before a
+ * ("max-retries"): steal/re-split rounds per task lineage before a
  * dispatch campaign (including the local one behind `--workers`)
  * fails.
  */
@@ -196,7 +196,7 @@ CliOption traceStatsCliOption();
 CliOption faultPlanCliOption();
 
 /**
- * Shard lineage budget from `--max-retries=N` (range-validated to
+ * Task lineage budget from `--max-retries=N` (range-validated to
  * [1, 100]); absent means `fallback`. The binary must list
  * kMaxRetriesOption among its allowed options for users to set it.
  */

@@ -366,19 +366,15 @@ BatchRunner::run(const ExperimentPlan &plan, ResultSink &sink) const
     // Timelines cover whole runs, so slice expansion is off under
     // collectTimelines (restore-vs-replay bit-identity keeps the
     // deterministic report columns unchanged either way).
-    if (options_.checkpoints != nullptr && options_.expandSlices &&
+    if (options_.checkpoints != nullptr &&
         !options_.collectTimelines) {
-        std::uint32_t maxSlices = options_.checkpointSlices;
-        if (maxSlices == 0) {
-            const std::size_t workers =
-                options_.jobs != 0
-                    ? options_.jobs
-                    : std::thread::hardware_concurrency();
-            maxSlices = static_cast<std::uint32_t>(
-                std::max<std::size_t>(workers, 1));
-        }
+        const std::size_t workers =
+            options_.jobs != 0 ? options_.jobs
+                               : std::thread::hardware_concurrency();
         CheckpointExpansion ex = expandCheckpointSlices(
-            plan, *options_.checkpoints, maxSlices);
+            plan, *options_.checkpoints,
+            static_cast<std::uint32_t>(
+                std::max<std::size_t>(workers, 1)));
         if (ex.expanded) {
             if (options_.progress)
                 progress(strprintf(

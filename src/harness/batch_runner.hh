@@ -20,6 +20,9 @@
  * Determinism: each job's RNG seeds (workload synthesis and noise
  * injection) are derived from (plan.baseSeed, job index) alone —
  * never from worker identity, scheduling order, or wall-clock time.
+ * Code that runs part of a plan elsewhere (checkpoint slices, the
+ * dispatch spool's task plans) derives the seeds by whole-plan index
+ * first and hands over a plan with derivation off.
  * The only per-run fields that may differ between `--jobs=1` and
  * `--jobs=N` are host wall-clock measurements (SimResult::wallSeconds
  * and BatchResult::hostSeconds).
@@ -65,12 +68,11 @@ struct BatchOptions
     /**
      * Memoize realized workload traces across the jobs of
      * non-seed-deriving plans. Disable when the caller knows every
-     * workload trace is unique to its job anyway — a worker
-     * executing a shard of a derived-seed plan (harness/worker)
-     * receives pre-resolved unique seeds in a deriveSeeds=false
-     * plan, and retaining those single-use traces for the whole
-     * shard would be pure memory growth. Trace-file sources are
-     * always memoized.
+     * workload trace is unique to its job anyway — a dispatch task
+     * cut from a derived-seed plan (harness/dispatch) carries
+     * pre-resolved unique seeds in a deriveSeeds=false plan, and
+     * retaining those single-use traces for the whole task would be
+     * pure memory growth. Trace-file sources are always memoized.
      */
     bool memoizeWorkloadTraces = true;
     /**
@@ -87,24 +89,13 @@ struct BatchOptions
      * outlive run()). When set, a sampled job with no recorded
      * manifest records a checkpoint at every sample boundary (when
      * the store is read-write), and later runs expand such jobs into
-     * per-interval slices that restore checkpoints instead of
-     * replaying the prefix, reassembled bit-identically by a
-     * SliceMergingSink (see harness/plan_shard.hh). nullptr =
-     * checkpoints off.
+     * up to one per-interval slice per worker thread, each restoring
+     * a checkpoint instead of replaying the prefix, reassembled
+     * bit-identically by a SliceMergingSink (see
+     * harness/plan_shard.hh). Slice jobs of an already expanded plan
+     * pass through. nullptr = checkpoints off.
      */
     ResultCache *checkpoints = nullptr;
-    /**
-     * Expand jobs into checkpoint slices in run(). Dispatch runners
-     * disable this: their shards come from a plan the coordinator
-     * already expanded, and a runner re-expanding a job would
-     * return more results than its shard promises.
-     */
-    bool expandSlices = true;
-    /**
-     * Most slices one sampled job may split into; 0 derives it from
-     * the worker count. Capped by the recorded boundary count.
-     */
-    std::uint32_t checkpointSlices = 0;
     /**
      * Record each job's execution timeline (a TimelineRecorder on
      * the primary run) into BatchResult::timeline for the trace
@@ -154,8 +145,9 @@ class BatchRunner
      * for a deriveSeeds plan: workload synthesis and noise injection
      * are reseeded from jobSeed(baseSeed, index), where `index` is
      * the job's position in the *whole* plan. Shared with
-     * harness/plan_shard so a worker executing a slice of a plan
-     * seeds each job identically to in-process execution.
+     * checkpoint-slice expansion and the dispatch coordinator, which
+     * resolve seeds before cutting a plan apart, so every piece seeds
+     * each job identically to in-process execution.
      */
     static void applyDerivedSeed(JobSpec &job,
                                  std::uint64_t baseSeed,

@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
 #include "common/subprocess.hh"
+#include "harness/plan_shard.hh"
 #include "harness/result_cache.hh"
 #include "harness/worker.hh"
 #include "sim/result_io.hh"
@@ -30,7 +34,7 @@ namespace tp::harness {
 
 namespace {
 
-const char *const kTaskSuffix = ".tpshard";
+const char *const kTaskSuffix = ".tpplan";
 const char *const kStreamSuffix = ".tprs";
 
 /**
@@ -66,6 +70,40 @@ defaultRunnerId()
         host[0] = '\0';
     return strprintf("%s-%d", host[0] != '\0' ? host : "host",
                      static_cast<int>(::getpid()));
+}
+
+/** The spool's `timelines` marker (see file comment of dispatch.hh). */
+std::string
+timelinesMarker(const SpoolPaths &spool)
+{
+    return (fs::path(spool.root) / "timelines").string();
+}
+
+/**
+ * @return whether two workload jobs of `plan` realize the same trace
+ *         (same workload name and parameter bits, the key BatchRunner
+ *         memoizes traces by), i.e. whether memoizing workload traces
+ *         can pay off. Tasks of a derived-seed plan carry unique
+ *         seeds, so they never do.
+ */
+bool
+sharesWorkloadTrace(const ExperimentPlan &plan)
+{
+    std::set<std::tuple<std::string, std::uint64_t, std::uint64_t,
+                        std::uint64_t>>
+        sources;
+    for (const JobSpec &job : plan.jobs) {
+        const work::WorkloadParams &p = job.workloadParams;
+        if (!job.workload.empty() &&
+            !sources
+                 .emplace(job.workload,
+                          std::bit_cast<std::uint64_t>(p.scale),
+                          std::bit_cast<std::uint64_t>(p.instrScale),
+                          p.seed)
+                 .second)
+            return true;
+    }
+    return false;
 }
 
 /** Read a small file whole; empty string when unreadable. */
@@ -199,15 +237,6 @@ expectedJobCost(const JobSpec &job)
     return cost;
 }
 
-double
-expectedShardCost(const PlanShard &shard)
-{
-    double cost = 0.0;
-    for (const ShardJob &sj : shard.jobs)
-        cost += expectedJobCost(sj.job);
-    return cost;
-}
-
 HeartbeatWriter::HeartbeatWriter(std::string path,
                                  std::chrono::milliseconds interval)
     : path_(std::move(path)), interval_(interval),
@@ -268,8 +297,8 @@ runDispatchRunner(const DispatchRunnerOptions &options)
     // resets, is created up front. A runner may join before its
     // coordinator (cluster schedulers start jobs in any order) or
     // while one starts up and wipes queue/, claimed/, done/ and
-    // results/; the claim loop and the shard execution re-create
-    // what they write into right before using it.
+    // results/; the claim loop re-creates what it writes into right
+    // before using it.
     std::error_code ec;
     fs::create_directories(spool.runners, ec);
 
@@ -315,16 +344,19 @@ runDispatchRunner(const DispatchRunnerOptions &options)
             if (options.progress)
                 progress(strprintf("runner %s: claimed %s",
                                    id.c_str(), task.c_str()));
-            WorkerOptions wo;
-            wo.shardPath = claim;
-            wo.outDir = spool.results;
-            wo.streamName = task + kStreamSuffix;
-            wo.batch = options.batch;
-            // The coordinator decides slice expansion; a runner
-            // re-expanding would publish more results than the task
-            // promises.
-            wo.batch.expandSlices = false;
-            runWorkerShard(wo);
+            // A damaged task file throws IoError and ends the
+            // runner; the coordinator then steals the claimed work.
+            const ExperimentPlan taskPlan = deserializePlan(claim);
+            fs::create_directories(spool.results, rec);
+            if (rec)
+                fatal("dispatch runner: cannot create '%s': %s",
+                      spool.results.c_str(), rec.message().c_str());
+            BatchOptions batch = options.batch;
+            batch.memoizeWorkloadTraces = sharesWorkloadTrace(taskPlan);
+            batch.collectTimelines =
+                fs::exists(timelinesMarker(spool), rec);
+            StreamPublishingSink publish(spool.streamFile(task));
+            BatchRunner(batch).run(taskPlan, publish);
             fs::rename(claim, spool.doneFile(task), rec);
             ++executed;
             ran = true;
@@ -345,7 +377,8 @@ namespace {
 /** Coordinator-side state of one published task. */
 struct TaskState
 {
-    PlanShard shard;
+    /** Campaign-plan index of each task job, ascending. */
+    std::vector<std::size_t> planIndices;
     DispatchTaskName name;
     /** Tails results/<task>.tprs (single writer, see file comment). */
     std::unique_ptr<sim::EnvelopeStreamReader> reader;
@@ -413,45 +446,69 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
     {
         std::error_code ec;
         fs::remove(spool.stopFile, ec);
+        fs::remove(timelinesMarker(spool), ec);
     }
     createSpool(spool);
+    if (options.collectTimelines)
+        std::ofstream(timelinesMarker(spool)) << "timelines\n";
 
     // --- Cost-model schedule -------------------------------------
-    const std::uint32_t shardCount =
+    const std::uint32_t taskCount =
         options.shards != 0
             ? options.shards
             : static_cast<std::uint32_t>(
                   std::max<std::size_t>(options.localRunners, 1) * 2);
-    std::vector<PlanShard> shards = makeShards(plan, shardCount);
-    for (PlanShard &shard : shards)
-        shard.collectTimelines = options.collectTimelines;
-
-    struct Ranked
+    struct Part
     {
-        std::size_t idx;
+        std::uint32_t id;
         double cost;
+        std::vector<std::size_t> planIndices;
     };
-    std::vector<Ranked> ranked(shards.size());
-    for (std::size_t i = 0; i < shards.size(); ++i)
-        ranked[i] = {i, expectedShardCost(shards[i])};
+    std::vector<Part> parts;
+    for (std::uint32_t i = 0; i < taskCount; ++i) {
+        const auto [first, last] =
+            shardRange(plan.jobs.size(), i, taskCount);
+        if (first == last)
+            continue;
+        Part part{i, 0.0, {}};
+        for (std::size_t j = first; j < last; ++j) {
+            part.cost += expectedJobCost(plan.jobs[j]);
+            part.planIndices.push_back(j);
+        }
+        parts.push_back(std::move(part));
+    }
     // Longest-expected-cost first so the likely stragglers start
     // earliest.
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const Ranked &a, const Ranked &b) {
+    std::stable_sort(parts.begin(), parts.end(),
+                     [](const Part &a, const Part &b) {
                          return a.cost > b.cost;
                      });
 
-    std::map<std::string, TaskState> tasks;
-    std::uint32_t nextShardId = shardCount;
+    // Seeds are resolved once, by campaign-plan index, and every task
+    // — steal re-splits included — publishes its jobs from here with
+    // derivation off, so it runs exactly the jobs of an in-process
+    // run.
+    std::vector<JobSpec> resolved = plan.jobs;
+    if (plan.deriveSeeds)
+        for (std::size_t i = 0; i < resolved.size(); ++i)
+            BatchRunner::applyDerivedSeed(resolved[i], plan.baseSeed,
+                                          i);
 
-    const auto publishTask = [&](PlanShard shard,
+    std::map<std::string, TaskState> tasks;
+    std::uint32_t nextTaskId = taskCount;
+
+    const auto publishTask = [&](std::vector<std::size_t> planIndices,
                                  DispatchTaskName name) {
         const std::string task = formatTaskName(name);
+        ExperimentPlan taskPlan;
+        taskPlan.deriveSeeds = false;
+        for (std::size_t i : planIndices)
+            taskPlan.jobs.push_back(resolved[i]);
         // Publish by rename so a runner can never claim (and then
         // parse) a half-written task file.
         const std::string tmp =
             (fs::path(spool.root) / (task + ".tmp")).string();
-        serializeShard(shard, tmp);
+        serializePlan(taskPlan, tmp);
         // Injected errno fails the publish like a real rename error
         // below (the coordinator has no quieter degradation); data
         // faults damage the task file, so the claiming runner must
@@ -471,7 +528,7 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
             fatal("dispatch: cannot publish task '%s': %s",
                   task.c_str(), ec.message().c_str());
         TaskState st;
-        st.shard = std::move(shard);
+        st.planIndices = std::move(planIndices);
         st.name = name;
         st.reader = std::make_unique<sim::EnvelopeStreamReader>(
             spool.streamFile(task));
@@ -479,14 +536,10 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
         tasks.emplace(task, std::move(st));
     };
 
-    for (std::size_t rank = 0; rank < ranked.size(); ++rank) {
-        PlanShard &shard = shards[ranked[rank].idx];
-        DispatchTaskName name;
-        name.priority = static_cast<std::uint32_t>(rank);
-        name.generation = 0;
-        name.shardId = shard.shardIndex;
-        publishTask(std::move(shard), name);
-    }
+    for (std::size_t rank = 0; rank < parts.size(); ++rank)
+        publishTask(std::move(parts[rank].planIndices),
+                    {static_cast<std::uint32_t>(rank), 0,
+                     parts[rank].id});
     if (options.progress)
         progress(strprintf(
             "dispatch: %zu jobs in %zu tasks spooled at %s",
@@ -561,11 +614,10 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
             return;
         FAULT_POINT("dispatch.steal");
         t.stolen = true;
-        std::vector<ShardJob> remaining;
-        for (const ShardJob &sj : t.shard.jobs)
-            if (!merger.collected(
-                    static_cast<std::size_t>(sj.planIndex)))
-                remaining.push_back(sj);
+        std::vector<std::size_t> remaining;
+        for (std::size_t i : t.planIndices)
+            if (!merger.collected(i))
+                remaining.push_back(i);
         if (remaining.empty())
             return;
         const std::uint32_t gen = t.name.generation + 1;
@@ -576,11 +628,8 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
                   formatTaskName(t.name).c_str(),
                   static_cast<std::size_t>(gen), why);
         }
-        // Re-split across the surviving fleet. The pieces keep the
-        // parent plan's seed policy and each job's original plan
-        // index, so shardPlan() on a stolen piece resolves exactly
-        // the seeds of the original run — stolen work stays
-        // bit-identical.
+        // Re-split across the surviving fleet. The pieces publish the
+        // same resolved jobs, so stolen work stays bit-identical.
         const std::size_t pieces = std::min(
             remaining.size(), std::max<std::size_t>(
                                   static_cast<std::size_t>(1),
@@ -590,24 +639,11 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
                 shardRange(remaining.size(),
                            static_cast<std::uint32_t>(i),
                            static_cast<std::uint32_t>(pieces));
-            PlanShard piece;
-            piece.planDigest = t.shard.planDigest;
-            piece.baseSeed = t.shard.baseSeed;
-            piece.deriveSeeds = t.shard.deriveSeeds;
-            piece.collectTimelines = t.shard.collectTimelines;
-            piece.shardIndex = nextShardId;
-            piece.shardCount = nextShardId + 1; // advisory position
-            piece.jobs.assign(
-                remaining.begin() +
-                    static_cast<std::ptrdiff_t>(lo),
-                remaining.begin() +
-                    static_cast<std::ptrdiff_t>(hi));
-            DispatchTaskName name;
-            name.priority = t.name.priority;
-            name.generation = gen;
-            name.shardId = nextShardId;
-            ++nextShardId;
-            publishTask(std::move(piece), name);
+            publishTask({remaining.begin() +
+                             static_cast<std::ptrdiff_t>(lo),
+                         remaining.begin() +
+                             static_cast<std::ptrdiff_t>(hi)},
+                        {t.name.priority, gen, nextTaskId++});
         }
         warn("dispatch: stole %zu jobs from task %s into %zu "
              "gen-%u tasks (%s)",
@@ -655,22 +691,13 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
                             ps, t.reader->path());
                         // The stream's single writer executes this
                         // task, so every index must be one of its
-                        // jobs (sorted ascending by plan index).
-                        const std::uint64_t planIdx =
-                            static_cast<std::uint64_t>(r.index);
-                        const auto jt = std::lower_bound(
-                            t.shard.jobs.begin(),
-                            t.shard.jobs.end(), planIdx,
-                            [](const ShardJob &sj,
-                               std::uint64_t v) {
-                                return sj.planIndex < v;
-                            });
-                        if (jt == t.shard.jobs.end() ||
-                            jt->planIndex != planIdx)
+                        // jobs; map it to the campaign plan's.
+                        if (r.index >= t.planIndices.size())
                             throwIoError(
                                 "'%s': result index %zu is not "
                                 "one of the task's jobs",
                                 t.reader->path().c_str(), r.index);
+                        r.index = t.planIndices[r.index];
                         if (merger.offer(std::move(r)))
                             progressed = true;
                     }
@@ -685,11 +712,10 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
                 if (!markedDone)
                     continue;
                 t.drained = true;
-                if (std::any_of(t.shard.jobs.begin(), t.shard.jobs.end(),
-                                [&](const ShardJob &sj) {
-                                    return !merger.collected(
-                                        static_cast<std::size_t>(
-                                            sj.planIndex));
+                if (std::any_of(t.planIndices.begin(),
+                                t.planIndices.end(),
+                                [&](std::size_t i) {
+                                    return !merger.collected(i);
                                 })) {
                     stealTask(t, "task done with results missing");
                     progressed = true;
@@ -875,9 +901,10 @@ runDispatchCampaign(const ExperimentPlan &plan,
         fatal("dispatch: at least one attempt per lineage needed");
 
     // Live-points: expand sampled jobs with recorded checkpoints into
-    // per-interval slices before sharding, so one job's slices spread
-    // across the fleet; the runners restore the checkpoints and the
-    // merging sink reassembles the original result stream.
+    // per-interval slices before the split into tasks, so one job's
+    // slices spread across the fleet; the runners restore the
+    // checkpoints and the merging sink reassembles the original
+    // result stream.
     if (!options.checkpointDir.empty() && !options.collectTimelines) {
         const std::unique_ptr<ResultCache> checkpoints =
             openCheckpointDir(options.checkpointDir);

@@ -6,26 +6,26 @@
  * *runner* processes that need not be children of the driver — they
  * only have to see the same spool directory (a local path for
  * same-machine fleets, a shared filesystem for clusters). The
- * coordinator splits the plan into shard tasks, orders them with a
- * cost model, and publishes them into the spool; runners claim tasks
- * by atomic rename, execute them through the ordinary worker path
- * (harness/worker), and append results to one envelope stream per
- * task; the coordinator live-tails every stream and merges the
- * results through a ResultMerger into any existing ResultSink in
- * plan submission order — the same sink contract BatchRunner
- * honours, so a distributed campaign's deterministic report is
- * byte-identical to `--jobs=1`. Every driver's `--workers=N` runs
+ * coordinator splits the plan into contiguous tasks, orders them with
+ * a cost model, and publishes each as an ordinary plan file; runners
+ * claim tasks by atomic rename, run them through the ordinary
+ * BatchRunner, and append results to one envelope stream per task
+ * (harness/worker); the coordinator live-tails every stream and
+ * merges the results through a ResultMerger into any existing
+ * ResultSink in plan submission order — the same sink contract
+ * BatchRunner honours, so a distributed campaign's deterministic
+ * report is byte-identical to `--jobs=1`. Every driver's `--workers=N` runs
  * its plan as a private campaign of this kind: a temp spool and N
  * locally spawned runners (see localCampaignFromCli).
  *
  * Spool layout (all under one root):
  *
- *   queue/<task>.tpshard      tasks awaiting a runner (serialized
- *                             PlanShard, published by atomic rename)
- *   claimed/<runner>/<task>.tpshard
+ *   queue/<task>.tpplan       tasks awaiting a runner (plan files,
+ *                             published by atomic rename)
+ *   claimed/<runner>/<task>.tpplan
  *                             tasks a runner owns (claim = rename
  *                             out of queue/, atomic on one fs)
- *   done/<task>.tpshard       tasks a runner finished (best-effort
+ *   done/<task>.tpplan        tasks a runner finished (best-effort
  *                             completion marker)
  *   results/<task>.tprs       the task's result stream, appended by
  *                             exactly one runner ever (task names are
@@ -34,9 +34,21 @@
  *                             counter every heartbeat interval
  *   stop                      created by the coordinator when the
  *                             campaign is over; runners exit on it
+ *   timelines                 present while the campaign wants job
+ *                             timelines: runners record and ship
+ *                             them (BatchOptions::collectTimelines)
+ *
+ * A task plan is self-contained: the coordinator applies the
+ * campaign plan's seed policy to each job by its campaign-plan index
+ * (BatchRunner::applyDerivedSeed) and publishes the resolved jobs
+ * with seed derivation off, so any runner — or `replay_plan` — that
+ * executes a task file computes exactly the results of those jobs in
+ * an in-process run. Which campaign-plan index each task job has
+ * lives only in the coordinator's memory; runners stream task-local
+ * indices and the coordinator maps them back before merging.
  *
  * Task names are `task-pPPPP-gGG-sSSSS` (priority, steal generation,
- * shard id), so a lexicographic scan of queue/ *is* the schedule:
+ * task id), so a lexicographic scan of queue/ *is* the schedule:
  * the cost model ranks tasks longest-expected-cost first so the
  * likely stragglers start early.
  *
@@ -48,10 +60,8 @@
  * (likewise the missing jobs of a task a runner marked done whose
  * stream lacks some results, e.g. a torn final append):
  * re-split into fresh tasks of the next steal generation and
- * re-enqueued. Stolen shards copy the parent plan's baseSeed and
- * seed policy and keep each job's original plan index, so
- * shardPlan() resolves exactly the seeds of the original run —
- * stolen work stays bit-identical. The dead runner's stream keeps
+ * re-enqueued. The re-split tasks carry the already-resolved jobs,
+ * so stolen work stays bit-identical. The dead runner's stream keeps
  * being tailed (a straggler mistaken for dead still contributes);
  * when thief and original both finish a job, the duplicates are
  * bit-identical by determinism and the ResultMerger keeps the first
@@ -73,7 +83,6 @@
 #include <thread>
 
 #include "harness/batch_runner.hh"
-#include "harness/plan_shard.hh"
 #include "harness/result_sink.hh"
 
 namespace tp {
@@ -89,7 +98,7 @@ struct DispatchTaskName
     std::uint32_t priority = 0;
     /** Steal generation: 0 = original, +1 per re-split. */
     std::uint32_t generation = 0;
-    /** Campaign-unique shard id (fresh per steal split). */
+    /** Campaign-unique task id (fresh per steal split). */
     std::uint32_t shardId = 0;
 };
 
@@ -135,9 +144,6 @@ void createSpool(const SpoolPaths &spool);
  */
 double expectedJobCost(const JobSpec &job);
 
-/** Sum of expectedJobCost over a shard's jobs. */
-double expectedShardCost(const PlanShard &shard);
-
 /** Coordinator-side campaign options. */
 struct DispatchOptions
 {
@@ -148,13 +154,13 @@ struct DispatchOptions
      */
     std::string spoolDir;
     /**
-     * Shard tasks to split the plan into; 0 derives
+     * Tasks to split the plan into; 0 derives
      * max(localRunners, 1) * 2 — enough slack for the cost model
      * and stealing to matter. One result stream exists per task, so
      * a 10k-job sweep stays O(tasks) files.
      */
     std::uint32_t shards = 0;
-    /** Steal/re-split rounds per shard lineage (--max-retries). */
+    /** Steal/re-split rounds per task lineage (--max-retries). */
     std::size_t maxRetries = 3;
     /** Interval runners rewrite their heartbeat file at. */
     std::chrono::milliseconds heartbeatInterval{200};
@@ -195,7 +201,8 @@ struct DispatchOptions
      * Warm-state checkpoint store (--checkpoint-dir); empty =
      * checkpoints off. When set, sampled jobs with recorded
      * checkpoints are expanded into per-interval slices *before*
-     * sharding, so one job's slices spread across the fleet, and
+     * the split into tasks, so one job's slices spread across the
+     * fleet, and
      * the slice results are merged back (see harness/plan_shard.hh);
      * local runners get the directory forwarded — external runners
      * must be started with the same --checkpoint-dir. Expansion is
@@ -208,10 +215,11 @@ struct DispatchOptions
     /** Keep a coordinator-created temp spool for post-mortems. */
     bool keepSpool = false;
     /**
-     * Ask every shard task (including steal re-splits) to record job
-     * timelines and ship them back in its result stream, so a trace
-     * sink on the coordinator merges the whole campaign into one
-     * Chrome trace (see harness/trace_report.hh).
+     * Write the spool's `timelines` marker, so runners record job
+     * timelines of every task (including steal re-splits) and ship
+     * them back in the result streams, and a trace sink on the
+     * coordinator merges the whole campaign into one Chrome trace
+     * (see harness/trace_report.hh). Off removes the marker.
      */
     bool collectTimelines = false;
 };
@@ -232,7 +240,7 @@ void runDispatchCampaign(const ExperimentPlan &plan,
  * The private local campaign behind the canonical `--workers=N|auto`
  * option (kWorkersOption): a temp spool with N local runners spawned
  * from `--worker-bin=PATH`, by default the taskpoint_dispatch binary
- * next to the running executable, one shard task per runner.
+ * next to the running executable, one task per runner.
  * `--jobs` (threads per runner), `--max-retries`,
  * `--cache-dir`/`--cache`, `--checkpoint-dir` and the trace options'
  * "record timelines" bit are forwarded unchanged. The cache options
@@ -254,15 +262,22 @@ struct DispatchRunnerOptions
     std::chrono::milliseconds heartbeatInterval{200};
     /** Emit one progress() line per claimed task. */
     bool progress = false;
-    /** Execution environment of claimed tasks (threads, cache). */
+    /**
+     * Execution environment of claimed tasks (threads, caches); the
+     * runner sets memoizeWorkloadTraces and collectTimelines per
+     * task.
+     */
     BatchOptions batch;
 };
 
 /**
  * The runner main loop: heartbeat, claim queued tasks in schedule
- * order, execute each through runWorkerShard (appending to the
- * task's result stream), move finished tasks to done/, and exit
- * once the stop file appears.
+ * order, run each task plan through a BatchRunner into a
+ * StreamPublishingSink on the task's result stream, move finished
+ * tasks to done/, and exit once the stop file appears. Per task,
+ * workload traces are memoized only when two of its jobs share one,
+ * and timelines are recorded while the spool's `timelines` marker
+ * exists.
  *
  * @return the number of tasks executed
  */

@@ -1,7 +1,6 @@
 #include "harness/plan_shard.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -14,8 +13,6 @@
 namespace tp::harness {
 
 namespace {
-
-constexpr std::uint64_t kShardMagic = 0x5450534852443101ULL; // TPSHRD1.
 
 // TPMANIF1: frames the tiny checkpoint-manifest payload.
 constexpr std::uint64_t kManifestMagic = 0x54504d414e494631ULL;
@@ -35,133 +32,6 @@ shardRange(std::size_t numJobs, std::uint32_t shardIndex,
     const std::size_t last =
         static_cast<std::size_t>(n * (shardIndex + 1) / shardCount);
     return {first, last};
-}
-
-std::vector<PlanShard>
-makeShards(const ExperimentPlan &plan, std::uint32_t shardCount)
-{
-    if (shardCount == 0)
-        fatal("cannot shard a plan into 0 shards");
-    const std::string digest = planDigest(plan);
-    std::vector<PlanShard> shards;
-    for (std::uint32_t i = 0; i < shardCount; ++i) {
-        const auto [first, last] =
-            shardRange(plan.jobs.size(), i, shardCount);
-        if (first == last)
-            continue;
-        PlanShard s;
-        s.planDigest = digest;
-        s.shardIndex = i;
-        s.shardCount = shardCount;
-        s.baseSeed = plan.baseSeed;
-        s.deriveSeeds = plan.deriveSeeds;
-        s.jobs.reserve(last - first);
-        for (std::size_t j = first; j < last; ++j)
-            s.jobs.push_back(
-                ShardJob{static_cast<std::uint64_t>(j),
-                         plan.jobs[j]});
-        shards.push_back(std::move(s));
-    }
-    return shards;
-}
-
-ExperimentPlan
-shardPlan(const PlanShard &shard)
-{
-    ExperimentPlan plan;
-    plan.baseSeed = shard.baseSeed;
-    // Seeds are resolved here, per parent index; the executing
-    // BatchRunner must not re-derive them from shard-local indices.
-    plan.deriveSeeds = false;
-    plan.jobs.reserve(shard.jobs.size());
-    for (const ShardJob &sj : shard.jobs) {
-        JobSpec job = sj.job;
-        if (shard.deriveSeeds)
-            BatchRunner::applyDerivedSeed(
-                job, shard.baseSeed,
-                static_cast<std::size_t>(sj.planIndex));
-        plan.jobs.push_back(std::move(job));
-    }
-    return plan;
-}
-
-void
-serializeShard(const PlanShard &shard, std::ostream &out)
-{
-    BinaryWriter w(out);
-    w.pod(kShardMagic);
-    w.pod(kShardFormatVersion);
-    w.pod(kPlanFormatVersion); // jobs use the plan encoding
-    w.str(shard.planDigest);
-    w.pod(shard.shardIndex);
-    w.pod(shard.shardCount);
-    w.pod(shard.baseSeed);
-    writeBool(w, shard.deriveSeeds);
-    writeBool(w, shard.collectTimelines);
-    w.pod<std::uint64_t>(shard.jobs.size());
-    for (const ShardJob &sj : shard.jobs) {
-        w.pod(sj.planIndex);
-        serializeJobSpec(w, sj.job);
-    }
-}
-
-void
-serializeShard(const PlanShard &shard, const std::string &path)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        fatal("cannot open '%s' for writing", path.c_str());
-    serializeShard(shard, out);
-    if (!out.good())
-        fatal("error writing shard to '%s'", path.c_str());
-}
-
-PlanShard
-deserializeShard(std::istream &in, const std::string &name)
-{
-    BinaryReader r(in, name);
-    if (r.pod<std::uint64_t>() != kShardMagic)
-        throwIoError("'%s': not a taskpoint shard file",
-                     name.c_str());
-    if (r.pod<std::uint32_t>() != kShardFormatVersion)
-        throwIoError("'%s': unsupported shard format version",
-                     name.c_str());
-    if (r.pod<std::uint32_t>() != kPlanFormatVersion)
-        throwIoError("'%s': unsupported job encoding version",
-                     name.c_str());
-    PlanShard shard;
-    shard.planDigest = r.str();
-    shard.shardIndex = r.pod<std::uint32_t>();
-    shard.shardCount = r.pod<std::uint32_t>();
-    if (shard.shardCount == 0 ||
-        shard.shardIndex >= shard.shardCount)
-        throwIoError("'%s': corrupt shard position %u/%u",
-                     name.c_str(), shard.shardIndex,
-                     shard.shardCount);
-    shard.baseSeed = r.pod<std::uint64_t>();
-    shard.deriveSeeds = readBool(r);
-    shard.collectTimelines = readBool(r);
-    const auto count = r.pod<std::uint64_t>();
-    if (count > r.remainingBytes())
-        throwIoError("'%s': corrupt job count", name.c_str());
-    shard.jobs.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        ShardJob sj;
-        sj.planIndex = r.pod<std::uint64_t>();
-        sj.job = deserializeJobSpec(r);
-        shard.jobs.push_back(std::move(sj));
-    }
-    r.expectEof();
-    return shard;
-}
-
-PlanShard
-deserializeShard(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throwIoError("cannot open '%s' for reading", path.c_str());
-    return deserializeShard(in, path);
 }
 
 std::string

@@ -1,27 +1,16 @@
 /**
  * @file
- * Slicing ExperimentPlans into worker shards.
+ * Splitting plans into contiguous parts, and checkpoint slices.
  *
- * A PlanShard is a contiguous slice of a parent plan, carrying the
- * parent's digest, the shard's position (index/count), the parent's
- * seed policy, and — crucially — each job's index *in the parent
- * plan*. Seeds derive from (baseSeed, parent index), never from the
- * shard-local position, so a worker executing shard k of n produces
- * bit-identical results to the same jobs run in-process
- * (see BatchRunner::applyDerivedSeed).
+ * shardRange() is the one partition rule: part i of k over n jobs
+ * covers [i*n/k, (i+1)*n/k), sizes differing by at most one. The
+ * dispatch coordinator (harness/dispatch) cuts a plan into spool
+ * tasks with it — a contiguous part keeps the jobs of one workload,
+ * which figure drivers emit consecutively, in one task, so per-source
+ * trace memoization keeps paying off inside each runner — and
+ * checkpoint-slice expansion tiles a run's sample boundaries with it.
  *
- * The partition is contiguous and balanced: shard i of k over n jobs
- * covers [i*n/k, (i+1)*n/k), sizes differing by at most one. A
- * contiguous slice keeps the jobs of one workload — which figure
- * drivers emit consecutively — in one shard, so per-source trace
- * memoization keeps paying off inside each worker.
- *
- * Shard files use the common/binary_io layer with the same
- * magic/version/digest discipline as plan files: a worker fed a
- * shard from a different build or a torn file raises recoverable
- * IoError instead of decoding garbage.
- *
- * Checkpoint-slice expansion (live-points). Sharding splits a plan
+ * Checkpoint-slice expansion (live-points). Dispatch splits a plan
  * *between* jobs; expandCheckpointSlices() additionally splits
  * *within* a job. A previous run of the same sampled job recorded a
  * warm-state checkpoint at every sample-phase boundary (see
@@ -40,7 +29,6 @@
 #define TP_HARNESS_PLAN_SHARD_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,82 +40,15 @@ namespace tp::harness {
 
 class ResultCache;
 
-/** One job of a shard, tagged with its index in the parent plan. */
-struct ShardJob
-{
-    /** The job's submission index in the parent plan. */
-    std::uint64_t planIndex = 0;
-    JobSpec job;
-};
-
-/** See file comment. */
-struct PlanShard
-{
-    /** planDigest() of the parent plan (provenance check). */
-    std::string planDigest;
-    std::uint32_t shardIndex = 0;
-    std::uint32_t shardCount = 1;
-    /** Seed policy copied from the parent plan. */
-    std::uint64_t baseSeed = 42;
-    bool deriveSeeds = true;
-    /**
-     * Record per-job execution timelines on the worker and ship them
-     * back inside each BatchResult (BatchOptions::collectTimelines).
-     * Set by coordinators after makeShards(); not part of the parent
-     * plan (tracing is an execution-environment choice, so it never
-     * changes the plan digest).
-     */
-    bool collectTimelines = false;
-    std::vector<ShardJob> jobs;
-};
-
-/** Version of the shard file encoding (see kPlanFormatVersion). */
-inline constexpr std::uint32_t kShardFormatVersion = 2;
-
 /**
- * @return the half-open range [first, last) of parent-plan indices
- *         shard `shardIndex` of `shardCount` covers over `numJobs`
- *         jobs. Every index lands in exactly one shard; sizes differ
- *         by at most one.
+ * @return the half-open range [first, last) of indices part
+ *         `shardIndex` of `shardCount` covers over `numJobs` jobs.
+ *         Every index lands in exactly one part; sizes differ by at
+ *         most one.
  */
 std::pair<std::size_t, std::size_t>
 shardRange(std::size_t numJobs, std::uint32_t shardIndex,
            std::uint32_t shardCount);
-
-/**
- * Slice `plan` into at most `shardCount` shards, skipping empty ones
- * (a plan smaller than the shard count yields fewer shards).
- * shardIndex/shardCount in each returned shard still name the
- * position in the full partition.
- */
-std::vector<PlanShard> makeShards(const ExperimentPlan &plan,
-                                  std::uint32_t shardCount);
-
-/**
- * @return the executable plan of one shard: the shard's jobs with
- *         the parent's seed policy already applied per *parent*
- *         index, and deriveSeeds disabled — so running it through
- *         BatchRunner yields results bit-identical to the same jobs
- *         of an in-process run of the parent plan.
- */
-ExperimentPlan shardPlan(const PlanShard &shard);
-
-/** Write a shard (magic, version, provenance, jobs) to a stream. */
-void serializeShard(const PlanShard &shard, std::ostream &out);
-
-/** Write a shard to `path`; fatal when the file cannot be written. */
-void serializeShard(const PlanShard &shard, const std::string &path);
-
-/**
- * Read a shard back; exact inverse of serializeShard.
- *
- * @param name label for error messages (the path when reading a file)
- * @throws IoError on truncation, bad magic/version or corrupt fields
- */
-PlanShard deserializeShard(std::istream &in, const std::string &name);
-
-/** Read a shard from `path`; throws IoError on corruption. */
-PlanShard deserializeShard(const std::string &path);
 
 /**
  * @return the serialized checkpoint manifest of one recorded run —

@@ -318,26 +318,4 @@ ResultMerger::finish()
     sink_.end();
 }
 
-TextTable
-batchSummaryTable(const std::string &title,
-                  const std::vector<BatchResult> &results)
-{
-    TextTable t(title);
-    t.setHeader(kSummaryHeader);
-    for (const BatchResult &r : results)
-        t.addRow(summaryRow(r));
-    return t;
-}
-
-RunningStats
-batchErrorStats(const std::vector<BatchResult> &results)
-{
-    RunningStats stats;
-    for (const BatchResult &r : results) {
-        if (r.comparison)
-            stats.add(r.comparison->errorPct);
-    }
-    return stats;
-}
-
 } // namespace tp::harness

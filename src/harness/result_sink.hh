@@ -257,7 +257,7 @@ class TeeSink final : public ResultSink
  * the ordered stream a ResultSink expects — the merge half of the
  * campaign coordinator (harness/dispatch).
  *
- * Results arrive from concurrently tailed shard streams in whatever
+ * Results arrive from concurrently tailed task streams in whatever
  * order runners finish, and fault handling can produce the same
  * plan index twice: a job stolen from a straggler can be finished by
  * both the thief and the original runner. Executions
@@ -303,16 +303,6 @@ class ResultMerger
     std::size_t nextDeliver_ = 0;
     std::size_t delivered_ = 0;
 };
-
-/**
- * Render a batch as a TextTable (the TableSink format, for drivers
- * that already hold a result vector).
- */
-TextTable batchSummaryTable(const std::string &title,
-                            const std::vector<BatchResult> &results);
-
-/** Accumulate errorPct of all Both-mode results (common/statistics). */
-RunningStats batchErrorStats(const std::vector<BatchResult> &results);
 
 } // namespace tp::harness
 

@@ -1,6 +1,5 @@
 #include "harness/worker.hh"
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -9,117 +8,51 @@
 #include "common/logging.hh"
 #include "sim/result_io.hh"
 
-namespace fs = std::filesystem;
-
 namespace tp::harness {
 
-namespace {
-
-/**
- * Remaps shard-local result indices to parent-plan indices before
- * forwarding: BatchRunner numbered the shard's jobs 0..n-1, but
- * reports and ordering downstream need the parent-plan index.
- */
-class PlanIndexSink final : public ResultSink
+StreamPublishingSink::StreamPublishingSink(
+    const std::string &streamPath)
+    : out_(streamPath, std::ios::binary), path_(streamPath)
 {
-  public:
-    PlanIndexSink(const PlanShard &shard, ResultSink &inner)
-        : shard_(shard), inner_(inner)
-    {}
+    // The coordinator guarantees a fresh stream name per task
+    // execution (steal-generation-unique task names), so truncating
+    // here can never discard results a tailer already consumed.
+    if (!out_)
+        fatal("worker: cannot create result stream '%s'",
+              path_.c_str());
+}
 
-    void
-    begin(std::size_t totalJobs) override
-    {
-        inner_.begin(totalJobs);
-    }
-
-    void
-    consume(BatchResult &&r) override
-    {
-        tp_assert(r.index < shard_.jobs.size());
-        r.index = static_cast<std::size_t>(
-            shard_.jobs[r.index].planIndex);
-        inner_.consume(std::move(r));
-    }
-
-    void
-    end() override
-    {
-        inner_.end();
-    }
-
-  private:
-    const PlanShard &shard_;
-    ResultSink &inner_;
-};
-
-/**
- * Appends each finished result to the shard's single envelope
- * stream.
- *
- * Each append is one buffered write of a whole envelope followed by
- * a flush, so a crash between jobs leaves a clean stream boundary
- * and a crash mid-write leaves an incomplete tail — which the
- * tailing coordinator's EnvelopeStreamReader treats as
- * not-yet-published, never as a result.
- */
-class StreamPublishingSink final : public ResultSink
+void
+StreamPublishingSink::consume(BatchResult &&r)
 {
-  public:
-    explicit StreamPublishingSink(const std::string &streamPath)
-        : out_(streamPath, std::ios::binary), path_(streamPath)
-    {
-        // The coordinator guarantees a fresh stream name per shard
-        // execution (steal-generation-unique task names), so
-        // truncating here can never discard results a tailer
-        // already consumed.
-        if (!out_)
-            fatal("worker: cannot create result stream '%s'",
+    std::ostringstream payload(std::ios::binary);
+    serializeBatchResult(r, payload);
+    std::ostringstream framed(std::ios::binary);
+    sim::writeEnvelope(framed, payload.str());
+
+    const std::string bytes = framed.str();
+    out_.write(bytes.data(),
+               static_cast<std::streamsize>(bytes.size()));
+    out_.flush();
+    if (!out_.good())
+        fatal("worker: error appending to '%s'", path_.c_str());
+    // The append just became durable — the boundary every tailer's
+    // recovery story is written against. Injected data faults damage
+    // the stream tail on disk (a truncated or flipped envelope the
+    // reader must refuse); errno stands in for the append itself
+    // failing like the fatal above; abort kills this runner mid-task
+    // and delay wedges it with the stream silent (the stalled-stream
+    // watchdog's case).
+    if (const fault::FaultRule *rule =
+            FAULT_CHECK("worker.stream.append")) {
+        if (rule->action.kind == fault::FaultKind::ErrnoFault)
+            fatal("worker: injected %s appending to '%s' "
+                  "(fault site worker.stream.append)",
+                  fault::errnoToken(rule->action.arg).c_str(),
                   path_.c_str());
+        fault::corruptFile(*rule, path_);
     }
-
-    void
-    consume(BatchResult &&r) override
-    {
-        std::ostringstream payload(std::ios::binary);
-        serializeBatchResult(r, payload);
-        std::ostringstream framed(std::ios::binary);
-        sim::writeEnvelope(framed, payload.str());
-
-        const std::string bytes = framed.str();
-        out_.write(bytes.data(),
-                   static_cast<std::streamsize>(bytes.size()));
-        out_.flush();
-        if (!out_.good())
-            fatal("worker: error appending to '%s'", path_.c_str());
-        // The append just became durable — the boundary every
-        // tailer's recovery story is written against. Injected data
-        // faults damage the stream tail on disk (a truncated or
-        // flipped envelope the reader must refuse); errno stands in
-        // for the append itself failing like the fatal above; abort
-        // kills this worker mid-shard and delay wedges it with the
-        // stream silent (the stalled-stream watchdog's case).
-        if (const fault::FaultRule *r =
-                FAULT_CHECK("worker.stream.append")) {
-            if (r->action.kind == fault::FaultKind::ErrnoFault)
-                fatal("worker: injected %s appending to '%s' "
-                      "(fault site worker.stream.append)",
-                      fault::errnoToken(r->action.arg).c_str(),
-                      path_.c_str());
-            fault::corruptFile(*r, path_);
-        }
-        ++published_;
-    }
-
-    std::size_t published() const { return published_; }
-
-  private:
-    std::ofstream out_;
-    std::string path_;
-    std::size_t published_ = 0;
-};
-
-} // namespace
+}
 
 void
 serializeBatchResult(const BatchResult &r, std::ostream &out)
@@ -171,35 +104,6 @@ deserializeBatchResult(std::istream &in, const std::string &name)
     if (readBool(r))
         res.timeline = sim::deserializeTimeline(r);
     return res;
-}
-
-std::size_t
-runWorkerShard(const WorkerOptions &options)
-{
-    const PlanShard shard = deserializeShard(options.shardPath);
-    std::error_code ec;
-    fs::create_directories(options.outDir, ec);
-    if (ec)
-        fatal("worker: cannot create out dir '%s': %s",
-              options.outDir.c_str(), ec.message().c_str());
-
-    if (options.batch.progress)
-        progress(strprintf(
-            "worker: shard %u/%u of plan %s: %zu jobs",
-            shard.shardIndex, shard.shardCount,
-            shard.planDigest.c_str(), shard.jobs.size()));
-
-    const ExperimentPlan plan = shardPlan(shard);
-    StreamPublishingSink publish(
-        (fs::path(options.outDir) / options.streamName).string());
-    PlanIndexSink sink(shard, publish);
-    BatchOptions batch = options.batch;
-    // shardPlan() pre-resolved the parent's derived seeds, so each
-    // workload trace is unique to its job: don't retain them.
-    batch.memoizeWorkloadTraces = !shard.deriveSeeds;
-    batch.collectTimelines = shard.collectTimelines;
-    BatchRunner(batch).run(plan, sink);
-    return publish.published();
 }
 
 } // namespace tp::harness

@@ -1,34 +1,33 @@
 /**
  * @file
- * Worker-side execution of plan shards, and the BatchResult wire
- * format shared with the campaign coordinator (harness/dispatch).
+ * The BatchResult wire format shared by dispatch runners and the
+ * campaign coordinator (harness/dispatch), and the sink that
+ * publishes it.
  *
- * The transport is one appendable result stream per shard: a
- * dispatch runner executes each claimed shard through the ordinary
- * BatchRunner and appends each finished BatchResult — the serialized
- * result wrapped in sim/result_io's checksummed envelope — to the
- * shard task's `results/<task>.tprs` stream, flushing after every
- * append. The envelope framing concatenates cleanly, so a tailing
- * coordinator (sim::EnvelopeStreamReader) consumes complete,
- * checksum-verified results as the stream grows; a runner that dies
- * mid-append leaves at most an incomplete tail, which the reader
- * treats as not-yet-published, never as data. One stream per shard
- * means a million-job sweep creates O(shards) result files, not
- * O(jobs).
+ * The transport is one appendable result stream per spool task: a
+ * dispatch runner executes each claimed task plan through the
+ * ordinary BatchRunner into a StreamPublishingSink, which appends
+ * each finished BatchResult — the serialized result wrapped in
+ * sim/result_io's checksummed envelope — to the task's
+ * `results/<task>.tprs` stream, flushing after every append. The
+ * envelope framing concatenates cleanly, so a tailing coordinator
+ * (sim::EnvelopeStreamReader) consumes complete, checksum-verified
+ * results as the stream grows; a runner that dies mid-append leaves
+ * at most an incomplete tail, which the reader treats as
+ * not-yet-published, never as data. One stream per task means a
+ * million-job sweep creates O(tasks) result files, not O(jobs).
  *
- * Result indices are parent-plan indices (ShardJob::planIndex), so
- * the driver reassembles global submission order without knowing the
- * shard geometry.
+ * Result indices are task-local (the task plan's submission order);
+ * the coordinator, which cut the task out of the campaign plan, maps
+ * them back to campaign-plan indices.
  */
 
 #ifndef TP_HARNESS_WORKER_HH
 #define TP_HARNESS_WORKER_HH
 
-#include <iosfwd>
+#include <fstream>
 #include <string>
 
-#include "harness/batch_runner.hh"
-#include "harness/plan_shard.hh"
 #include "harness/result_sink.hh"
 
 namespace tp::harness {
@@ -36,7 +35,7 @@ namespace tp::harness {
 /**
  * Write one BatchResult (payload only, no framing). Every field —
  * including the optional reference, sampled outcome and comparison —
- * round-trips bit-identically, so a result shipped from a worker is
+ * round-trips bit-identically, so a result shipped from a runner is
  * indistinguishable from one computed in-process.
  */
 void serializeBatchResult(const BatchResult &r, std::ostream &out);
@@ -50,35 +49,27 @@ void serializeBatchResult(const BatchResult &r, std::ostream &out);
 BatchResult deserializeBatchResult(std::istream &in,
                                    const std::string &name);
 
-/** Execution options of one shard. */
-struct WorkerOptions
-{
-    /** Serialized PlanShard to execute. */
-    std::string shardPath;
-    /** Directory the result stream is appended into (created). */
-    std::string outDir;
-    /**
-     * File name of the result stream under outDir (required): the
-     * dispatch task name, which encodes the steal generation, so
-     * every execution of a shard writes a stream of its own (see
-     * harness/dispatch).
-     */
-    std::string streamName;
-    /** Execution environment (threads, progress, cache). */
-    BatchOptions batch;
-};
-
 /**
- * Execute one shard: load it, resolve its seeds (see shardPlan), run
- * it, and append one envelope per finished job to the shard's result
- * stream.
+ * Appends each finished result to one envelope stream, created (and
+ * truncated) at construction; fatal when it cannot be written.
  *
- * @return the number of results published
- * @throws IoError when the shard file is damaged; SimError on
- *         invalid jobs (both end the runner, whose claimed work the
- *         coordinator then steals)
+ * Each append is one buffered write of a whole envelope followed by
+ * a flush, so a crash between jobs leaves a clean stream boundary
+ * and a crash mid-write leaves an incomplete tail — which the
+ * tailing coordinator's EnvelopeStreamReader treats as
+ * not-yet-published, never as a result.
  */
-std::size_t runWorkerShard(const WorkerOptions &options);
+class StreamPublishingSink final : public ResultSink
+{
+  public:
+    explicit StreamPublishingSink(const std::string &streamPath);
+
+    void consume(BatchResult &&r) override;
+
+  private:
+    std::ofstream out_;
+    std::string path_;
+};
 
 } // namespace tp::harness
 

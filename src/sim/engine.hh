@@ -158,13 +158,6 @@ class Engine
     bool ran_ = false;
 };
 
-/**
- * Convenience wrapper: run the reference detailed simulation of
- * `trace` under `config` (noise and controller off).
- */
-SimResult runDetailedReference(const SimConfig &config,
-                               const trace::TaskTrace &trace);
-
 } // namespace tp::sim
 
 #endif // TP_SIM_ENGINE_HH

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
 #include "common/binary_io.hh"
@@ -441,61 +440,6 @@ emitTimelineEvents(ChromeTraceStream &stream, std::uint64_t pid,
                 static_cast<unsigned long long>(
                     s.coherenceInvalidations)));
     }
-}
-
-ChromeTraceWriter::ChromeTraceWriter(std::string path,
-                                     std::string label)
-    : path_(std::move(path)), label_(std::move(label))
-{}
-
-void
-ChromeTraceWriter::onRunBegin(std::uint32_t cores,
-                              const std::vector<std::string> &types)
-{
-    recorder_.onRunBegin(cores, types);
-}
-
-void
-ChromeTraceWriter::onPhaseChange(Cycles at, std::uint8_t phase)
-{
-    recorder_.onPhaseChange(at, phase);
-}
-
-void
-ChromeTraceWriter::onTaskScheduled(ThreadId core, TaskInstanceId id,
-                                   Cycles at)
-{
-    recorder_.onTaskScheduled(core, id, at);
-}
-
-void
-ChromeTraceWriter::onTaskEnd(ThreadId core,
-                             const trace::TaskInstance &inst,
-                             Cycles start, Cycles end, SimMode mode,
-                             double ipc, std::uint64_t readyTasks)
-{
-    recorder_.onTaskEnd(core, inst, start, end, mode, ipc, readyTasks);
-}
-
-void
-ChromeTraceWriter::onSampleBoundary(std::uint64_t boundary, Cycles at,
-                                    const mem::HierarchyStats &mem)
-{
-    recorder_.onSampleBoundary(boundary, at, mem);
-}
-
-void
-ChromeTraceWriter::onRunEnd(Cycles totalCycles)
-{
-    recorder_.onRunEnd(totalCycles);
-    std::ofstream out(path_, std::ios::binary);
-    if (!out)
-        fatal("cannot open trace output '%s'", path_.c_str());
-    ChromeTraceStream stream(out);
-    emitTimelineEvents(stream, 0, label_, recorder_.timeline());
-    stream.close();
-    if (!out.good())
-        fatal("failed writing trace output '%s'", path_.c_str());
 }
 
 } // namespace tp::sim

@@ -14,11 +14,9 @@
  * The concrete observers shipped here:
  *  - NullTraceObserver    — the zero-cost baseline (all no-ops).
  *  - TimelineRecorder     — records a compact JobTimeline value that
- *                           serializes into result streams, so remote
- *                           worker shards ship their timeline slice
+ *                           serializes into result streams, so
+ *                           dispatch runners ship each job's timeline
  *                           back to the coordinator.
- *  - ChromeTraceWriter    — streams one run straight into a Chrome
- *                           trace-event JSON file.
  *
  * JobTimeline is also the transport for the report-side sinks in
  * harness/trace_report.hh (Chrome trace merging, per-core stats).
@@ -262,33 +260,6 @@ std::string jsonQuote(const std::string &s);
 void emitTimelineEvents(ChromeTraceStream &stream, std::uint64_t pid,
                         const std::string &label,
                         const JobTimeline &t);
-
-/**
- * Single-run observer that records the timeline and writes a
- * complete Chrome trace-event document to `path` at onRunEnd.
- */
-class ChromeTraceWriter final : public TraceObserver
-{
-  public:
-    ChromeTraceWriter(std::string path, std::string label);
-
-    void onRunBegin(std::uint32_t cores,
-                    const std::vector<std::string> &types) override;
-    void onPhaseChange(Cycles at, std::uint8_t phase) override;
-    void onTaskScheduled(ThreadId core, TaskInstanceId id,
-                         Cycles at) override;
-    void onTaskEnd(ThreadId core, const trace::TaskInstance &inst,
-                   Cycles start, Cycles end, SimMode mode, double ipc,
-                   std::uint64_t readyTasks) override;
-    void onSampleBoundary(std::uint64_t boundary, Cycles at,
-                          const mem::HierarchyStats &mem) override;
-    void onRunEnd(Cycles totalCycles) override;
-
-  private:
-    TimelineRecorder recorder_;
-    std::string path_;
-    std::string label_;
-};
 
 } // namespace tp::sim
 

@@ -5,9 +5,10 @@
 #     in-process (--jobs=1) into the baseline CSV.
 #  2. taskpoint_dispatch runs the same plan as a campaign over a
 #     spool directory with three local runner processes and three
-#     shard tasks; the deterministic CSV columns must be
-#     byte-identical and the spool must hold O(tasks) result
-#     streams, not O(jobs) files.
+#     tasks; the deterministic CSV columns must be byte-identical
+#     and the spool must hold O(tasks) result streams, not O(jobs)
+#     files. Every task file is a runnable plan: replaying each with
+#     replay_plan must reproduce exactly the baseline's rows.
 #  3. The campaign runs again under a fault plan that makes exactly
 #     one runner SIGKILL itself after its first published result
 #     (`once` marker + worker.stream.append abort): the coordinator
@@ -26,8 +27,8 @@ test -x "$dispatch"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-# Two benchmarks x four thread counts = 8 jobs over 3 shards: every
-# shard holds >= 2 jobs, so a runner killed after its first publish
+# Two benchmarks x four thread counts = 8 jobs over 3 tasks: every
+# task holds >= 2 jobs, so a runner killed after its first publish
 # always leaves work behind — the steal is deterministic.
 "$fig" --benchmarks=histogram,vector-operation --scale=0.02 \
     --jobs=2 --save-plan="$work/fig.tpplan" \
@@ -50,9 +51,25 @@ test "$(wc -l <"$work/base.csv.det")" -eq 9 # header + 8 jobs
 diff -u "$work/base.csv.det" "$work/dist.csv.det"
 
 streams="$(find "$work/spool/results" -name '*.tprs' | wc -l)"
-test "$streams" -eq 3 # one stream per shard task, not per job
+test "$streams" -eq 3 # one stream per task, not per job
 
-# 2. Kill one runner mid-shard: its remaining jobs must be stolen
+# Replay every task file in-process. A task numbers its jobs from 0,
+# so compare the rows without the index column, as sorted sets. A
+# task whose done/ rename the coordinator's stop beat is still in
+# claimed/.
+tail -n +2 "$work/base.csv" | cut -d, -f2-8 | sort >"$work/base.rows"
+: >"$work/tasks.rows"
+for task in "$work"/spool/done/*.tpplan \
+    "$work"/spool/claimed/*/*.tpplan; do
+    test -f "$task" || continue
+    "$replay" --plan="$task" --jobs=1 --csv="$work/task.csv" \
+        >/dev/null
+    tail -n +2 "$work/task.csv" | cut -d, -f2-8 >>"$work/tasks.rows"
+done
+sort -o "$work/tasks.rows" "$work/tasks.rows"
+diff -u "$work/base.rows" "$work/tasks.rows"
+
+# 2. Kill one runner mid-task: its remaining jobs must be stolen
 # into a next-generation task and the report must not change by a
 # byte.
 cat >"$work/kill.plan" <<EOF

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <set>
+#include <sstream>
 
 #include "common/binary_io.hh"
 #include "common/logging.hh"
@@ -412,9 +413,11 @@ TEST(BatchRunner, TeeAndStatsSinksComposeOverOnePass)
                     fingerprint(second.results()[i].sampled->result));
     }
 
-    // The streaming stats equal the collected-vector helper.
-    const RunningStats collected =
-        batchErrorStats(first.results());
+    // The streaming stats equal those of the collected errors.
+    RunningStats collected;
+    for (const BatchResult &r : first.results())
+        if (r.comparison)
+            collected.add(r.comparison->errorPct);
     EXPECT_EQ(stats.errorStats().count(), collected.count());
     EXPECT_EQ(stats.errorStats().mean(), collected.mean());
     EXPECT_EQ(stats.errorStats().max(), collected.max());
@@ -426,21 +429,36 @@ TEST(BatchRunner, SummaryTableAndErrorStats)
     opts.jobs = 4;
     const ExperimentPlan plan = smallPlan();
 
-    // Streamed table rows must equal the collected-vector helper.
     TableSink streamed("t", /*printAtEnd=*/false);
+    StatsSink stats;
     CollectingSink collected;
-    TeeSink tee({&streamed, &collected});
+    TeeSink tee({&streamed, &stats, &collected});
     BatchRunner(opts).run(plan, tee);
+    const std::vector<BatchResult> &results = collected.results();
 
-    const RunningStats err = batchErrorStats(collected.results());
-    EXPECT_EQ(err.count(), plan.jobs.size());
-    EXPECT_GE(err.min(), 0.0);
+    // Every job is a Both-mode job, so every one has an error.
+    EXPECT_EQ(stats.errorStats().count(), plan.jobs.size());
+    EXPECT_GE(stats.errorStats().min(), 0.0);
 
-    const std::string rendered =
-        batchSummaryTable("t", collected.results()).render();
-    EXPECT_EQ(rendered, streamed.table().render());
-    for (const BatchResult &r : collected.results())
-        EXPECT_NE(rendered.find(r.label), std::string::npos);
+    // One streamed row per job, in submission order, showing the
+    // collected result's index, label, cycles and error.
+    std::istringstream csv(streamed.table().toCsv());
+    std::string line;
+    ASSERT_TRUE(std::getline(csv, line)) << "header row";
+    for (const BatchResult &r : results) {
+        ASSERT_TRUE(std::getline(csv, line)) << r.label;
+        EXPECT_EQ(line.rfind(std::to_string(r.index) + "," + r.label +
+                                 "," +
+                                 fmtCount(r.sampled->result.totalCycles),
+                             0),
+                  0u)
+            << line;
+        EXPECT_NE(line.find("," + fmtDouble(r.comparison->errorPct, 2) +
+                            ","),
+                  std::string::npos)
+            << line;
+    }
+    EXPECT_FALSE(std::getline(csv, line)) << "extra row: " << line;
 }
 
 } // namespace

@@ -303,8 +303,7 @@ TEST(CheckpointRoundTrip, EveryRegistryWorkloadRestoresBitIdentical)
     // result stream.
     BatchOptions sliced;
     sliced.checkpoints = store.get();
-    sliced.checkpointSlices = 4;
-    sliced.jobs = 4;
+    sliced.jobs = 4; // up to one slice per worker thread
     CollectingSink merged;
     runPlan(plan, sliced, merged);
 
@@ -337,7 +336,7 @@ TEST(CheckpointRoundTrip, BothModeRecomputesComparisonExactly)
 
     BatchOptions sliced;
     sliced.checkpoints = store.get();
-    sliced.checkpointSlices = 3;
+    sliced.jobs = 3; // up to one slice per worker thread
     CollectingSink merged;
     runPlan(plan, sliced, merged);
 
@@ -389,7 +388,7 @@ TEST(CheckpointRoundTrip, DamagedStoreDegradesToColdReplay)
 
     BatchOptions sliced;
     sliced.checkpoints = store.get();
-    sliced.checkpointSlices = 3;
+    sliced.jobs = 3; // up to one slice per worker thread
     CollectingSink merged;
     runPlan(plan, sliced, merged);
     EXPECT_EQ(outcomeBytes(merged.results()[0]),

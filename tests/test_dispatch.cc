@@ -3,13 +3,15 @@
  * Tests of the distributed dispatch subsystem: spool task naming,
  * the live-tailed envelope stream reader (incomplete tails withheld,
  * corruption recoverable), duplicate-idempotent ordered merging,
- * poll backoff, the scheduling cost model, bit-identical steal
- * re-splits, the `--workers` campaign options, in-process
- * coordinator/runner campaigns — with and without a dead runner whose
- * work must be stolen, and with runners racing the coordinator's
- * start-up — and campaigns over spawned taskpoint_dispatch runner
- * processes (a runner SIGKILLed mid-stream, an unusable runner
- * binary, checkpoint slices).
+ * poll backoff, the scheduling cost model, the `--workers` campaign
+ * options, in-process coordinator/runner campaigns — with and
+ * without a dead runner whose work must be stolen (also a
+ * non-contiguous remainder, re-split with identical seeds), with
+ * runners racing the coordinator's start-up, with runners slicing
+ * checkpointed jobs themselves, and with the `timelines` marker —
+ * and campaigns over spawned taskpoint_dispatch runner processes (a
+ * runner SIGKILLed mid-stream, an unusable runner binary, checkpoint
+ * slices).
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +34,7 @@
 #include "common/fault_injection.hh"
 #include "harness/batch_runner.hh"
 #include "harness/dispatch.hh"
+#include "harness/plan_shard.hh"
 #include "harness/result_cache.hh"
 #include "harness/worker.hh"
 #include "sim/result_io.hh"
@@ -276,47 +279,6 @@ TEST(DispatchCostModel, RanksModesAndSizesSensibly)
     JobSpec bigger = sampled;
     bigger.workloadParams.scale *= 4;
     EXPECT_LT(expectedJobCost(sampled), expectedJobCost(bigger));
-
-    PlanShard shard;
-    shard.jobs.push_back({0, sampled});
-    shard.jobs.push_back({1, reference});
-    EXPECT_DOUBLE_EQ(expectedShardCost(shard),
-                     expectedJobCost(sampled) +
-                         expectedJobCost(reference));
-}
-
-TEST(DispatchSteal, ResplitResolvesIdenticalSeeds)
-{
-    // A stolen re-split must execute with exactly the seeds of the
-    // original run: shardPlan derives per *parent* index from the
-    // copied seed policy, regardless of shard geometry.
-    const ExperimentPlan plan = smallPlan(6);
-    const std::vector<PlanShard> shards = makeShards(plan, 1);
-    ASSERT_EQ(shards.size(), 1u);
-    const ExperimentPlan original = shardPlan(shards[0]);
-
-    // Steal jobs {1, 3, 4} (a non-contiguous survivor set).
-    PlanShard stolen;
-    stolen.planDigest = shards[0].planDigest;
-    stolen.baseSeed = shards[0].baseSeed;
-    stolen.deriveSeeds = shards[0].deriveSeeds;
-    stolen.shardIndex = 7;
-    stolen.shardCount = 8;
-    for (std::size_t idx : {1u, 3u, 4u})
-        stolen.jobs.push_back(shards[0].jobs[idx]);
-
-    const ExperimentPlan replay = shardPlan(stolen);
-    ASSERT_EQ(replay.jobs.size(), 3u);
-    EXPECT_FALSE(replay.deriveSeeds);
-    std::size_t at = 0;
-    for (std::size_t idx : {1u, 3u, 4u}) {
-        EXPECT_EQ(replay.jobs[at].workloadParams.seed,
-                  original.jobs[idx].workloadParams.seed)
-            << "job " << idx;
-        EXPECT_EQ(jobSpecDigest(replay.jobs[at]),
-                  jobSpecDigest(original.jobs[idx]));
-        ++at;
-    }
 }
 
 TEST(DispatchCli, MaxRetriesFlagParsesAndDefaults)
@@ -423,7 +385,8 @@ class DispatchE2E : public ::testing::Test
      */
     std::vector<BatchResult>
     campaign(const ExperimentPlan &plan, DispatchOptions options,
-             std::size_t n, const std::string &idPrefix = "thread-")
+             std::size_t n, const std::string &idPrefix = "thread-",
+             const BatchOptions &batch = {})
     {
         std::vector<std::thread> runners;
         for (std::size_t i = 0; i < n; ++i) {
@@ -431,6 +394,7 @@ class DispatchE2E : public ::testing::Test
             ro.spoolDir = options.spoolDir;
             ro.runnerId = idPrefix + std::to_string(i);
             ro.heartbeatInterval = milliseconds(20);
+            ro.batch = batch;
             runners.emplace_back(
                 [ro] { (void)runDispatchRunner(ro); });
         }
@@ -607,6 +571,161 @@ TEST_F(DispatchE2E, ExhaustedLineageFailsTheCampaign)
     fs::remove_all(spoolDir);
 }
 
+TEST_F(DispatchE2E, RunnersSliceCheckpointedJobsThemselves)
+{
+    // A coordinator without a checkpoint store publishes whole jobs;
+    // runners with two threads and a recorded store split them into
+    // slices inside each task and fold the slices back, so the
+    // campaign still streams exactly one result per job.
+    const fs::path dir = freshDir("runner_slices");
+    const ExperimentPlan plan = smallPlan(4);
+    const std::unique_ptr<ResultCache> store =
+        openCheckpointDir((dir / "ckpt").string());
+    BatchOptions record;
+    record.checkpoints = store.get();
+    (void)BatchRunner(record).run(plan);
+    ASSERT_TRUE(expandCheckpointSlices(plan, *store, 2).expanded)
+        << "the recording run left nothing to slice";
+
+    DispatchOptions options;
+    options.spoolDir = (dir / "spool").string();
+    options.shards = 2;
+    options.heartbeatInterval = milliseconds(20);
+    BatchOptions batch;
+    batch.jobs = 2;
+    batch.checkpoints = store.get();
+    const std::uint64_t hitsBefore = store->stats().hits;
+    expectMatchesInProcess(
+        plan, campaign(plan, options, 2, "thread-", batch));
+    // Each sliced job reads its manifest and restores the checkpoint
+    // its second slice starts at.
+    EXPECT_GE(store->stats().hits - hitsBefore, 2 * plan.jobs.size())
+        << "the runners did not slice";
+    fs::remove_all(dir);
+}
+
+TEST_F(DispatchE2E, RunnersShipTimelinesOnlyUnderTheMarker)
+{
+    // Two campaigns over one spool: the first writes the `timelines`
+    // marker, so every result carries its job's timeline; the second
+    // removes it in its spool reset, so none does.
+    const fs::path spoolDir = freshDir("timelines");
+    const SpoolPaths spool(spoolDir.string());
+    const ExperimentPlan plan = smallPlan(3);
+    DispatchOptions options;
+    options.spoolDir = spoolDir.string();
+    options.shards = 2;
+    options.heartbeatInterval = milliseconds(20);
+    for (const bool timelines : {true, false}) {
+        SCOPED_TRACE(timelines ? "marker" : "no marker");
+        fs::remove(spool.stopFile);
+        options.collectTimelines = timelines;
+        const std::vector<BatchResult> results =
+            campaign(plan, options, 2);
+        expectMatchesInProcess(plan, results);
+        EXPECT_EQ(fs::exists(spoolDir / "timelines"), timelines);
+        for (const BatchResult &r : results)
+            EXPECT_EQ(r.timeline.has_value(), timelines) << r.label;
+    }
+    fs::remove_all(spoolDir);
+}
+
+/** Campaigns whose stolen work is checked job by job. */
+class DispatchSteal : public DispatchE2E
+{};
+
+TEST_F(DispatchSteal, ResplitResolvesIdenticalSeeds)
+{
+    // A zombie claims the only task, publishes the results of jobs
+    // {0, 2, 5} and goes silent. The re-split must carry the
+    // non-contiguous survivors {1, 3, 4} with exactly the seeds an
+    // in-process run derives for them, and the campaign must still
+    // match in-process execution.
+    const fs::path spoolDir = freshDir("resplit");
+    const SpoolPaths spool(spoolDir.string());
+    const ExperimentPlan plan = smallPlan(6);
+    DispatchOptions options;
+    options.spoolDir = spoolDir.string();
+    options.shards = 1;
+    options.heartbeatInterval = milliseconds(20);
+    options.deadAfter = milliseconds(250);
+
+    // Claims the queued task, publishes the results of jobs 0, 2 and
+    // 5 before its first heartbeat (so they are merged before it is
+    // declared dead), then beats once and stalls.
+    const auto claimAndPublishSome = [&] {
+        std::error_code ec;
+        for (int tries = 0; tries < 2000; ++tries) {
+            std::vector<std::string> queued;
+            for (const auto &entry :
+                 fs::directory_iterator(spool.queue, ec))
+                if (parseTaskName(entry.path().stem().string()))
+                    queued.push_back(entry.path().stem().string());
+            if (queued.size() == 1) {
+                const std::string &task = queued.front();
+                const std::string claim =
+                    spool.claimedFile("zombie", task);
+                fs::create_directories(spool.claimedDir("zombie"),
+                                       ec);
+                fs::rename(spool.queueFile(task), claim, ec);
+                ASSERT_FALSE(ec) << ec.message();
+                StreamPublishingSink publish(spool.streamFile(task));
+                FunctionSink some([&](BatchResult &&r) {
+                    if (r.index == 0 || r.index == 2 || r.index == 5)
+                        publish.consume(std::move(r));
+                });
+                BatchRunner(BatchOptions{}).run(deserializePlan(claim),
+                                                some);
+                std::ofstream(spool.heartbeatFile("zombie")) << "0";
+                return;
+            }
+            std::this_thread::sleep_for(milliseconds(1));
+        }
+        ADD_FAILURE() << "the task was never published";
+    };
+    std::thread zombie([&] {
+        claimAndPublishSome();
+        // Only now does a healthy runner join, for the remainder.
+        DispatchRunnerOptions ro;
+        ro.spoolDir = spool.root;
+        ro.runnerId = "thief";
+        ro.heartbeatInterval = milliseconds(20);
+        (void)runDispatchRunner(ro);
+    });
+
+    std::vector<BatchResult> results;
+    EXPECT_NO_THROW(results = campaign(plan, options, 0));
+    zombie.join();
+    expectMatchesInProcess(plan, results);
+
+    // The one generation-1 task holds jobs 1, 3 and 4, seeded as the
+    // campaign plan derives them.
+    std::vector<std::string> stolen;
+    std::error_code ec;
+    for (const fs::path &dir :
+         {fs::path(spool.done), fs::path(spool.claimedDir("thief"))})
+        for (const auto &entry : fs::directory_iterator(dir, ec)) {
+            const auto name =
+                parseTaskName(entry.path().stem().string());
+            if (name && name->generation == 1)
+                stolen.push_back(entry.path().string());
+        }
+    ASSERT_EQ(stolen.size(), 1u);
+    const ExperimentPlan replay = deserializePlan(stolen[0]);
+    EXPECT_FALSE(replay.deriveSeeds);
+    ASSERT_EQ(replay.jobs.size(), 3u);
+    std::size_t at = 0;
+    for (std::size_t idx : {1u, 3u, 4u}) {
+        JobSpec expected = plan.jobs[idx];
+        BatchRunner::applyDerivedSeed(expected, plan.baseSeed, idx);
+        EXPECT_EQ(jobSpecDigest(replay.jobs[at]),
+                  jobSpecDigest(expected))
+            << "job " << idx;
+        ++at;
+    }
+    fs::remove_all(spoolDir);
+}
+
 /**
  * Campaigns over real runner processes: the taskpoint_dispatch
  * binary resolved next to this test binary (both live in the build
@@ -746,7 +865,7 @@ TEST_F(DispatchLocalRunners, CheckpointSlicesMatchInProcess)
 {
     // Record warm-state checkpoints in-process, then run the plan as
     // a campaign over the store: its jobs must be split into slices
-    // before sharding and reassembled bit-identically.
+    // before the split into tasks and reassembled bit-identically.
     const fs::path dir = freshDir("slices");
     const std::string store = (dir / "ckpt").string();
     const ExperimentPlan plan = smallPlan(4);
@@ -770,9 +889,9 @@ TEST_F(DispatchLocalRunners, CheckpointSlicesMatchInProcess)
     std::error_code ec;
     for (const auto &entry : fs::directory_iterator(
              SpoolPaths(options.spoolDir).done, ec))
-        for (const ShardJob &sj :
-             deserializeShard(entry.path().string()).jobs)
-            sawSlice |= sj.job.isSlice();
+        for (const JobSpec &job :
+             deserializePlan(entry.path().string()).jobs)
+            sawSlice |= job.isSlice();
     EXPECT_TRUE(sawSlice) << "no task carried a checkpoint slice";
     fs::remove_all(dir);
 }

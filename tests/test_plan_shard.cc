@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests of plan sharding: the partition covers every job exactly
- * once for any (plan size, shard count), shard plans reproduce the
- * exact seeds of in-process execution, shard files round-trip
- * bit-identically, corruption raises recoverable IoError, and a
- * manually executed shard set reassembles into results identical to
+ * Tests of plan splitting: the shardRange partition covers every job
+ * exactly once for any (plan size, part count), and task plans cut
+ * from a derived-seed plan the way the dispatch coordinator cuts them
+ * — seeds resolved per plan index, derivation off, written and read
+ * back through the plan codec — reassemble into results identical to
  * one in-process run.
  */
 
@@ -13,7 +13,6 @@
 #include <set>
 #include <sstream>
 
-#include "common/binary_io.hh"
 #include "harness/batch_runner.hh"
 #include "harness/plan_shard.hh"
 
@@ -29,13 +28,12 @@ tinyScale()
     return p;
 }
 
-/** A plan of `n` jobs with distinct labels and varied fields. */
+/** A derived-seed plan of `n` jobs with distinct labels. */
 ExperimentPlan
-planOfSize(std::size_t n, bool deriveSeeds = true)
+planOfSize(std::size_t n)
 {
     ExperimentPlan plan;
     plan.baseSeed = 7;
-    plan.deriveSeeds = deriveSeeds;
     for (std::size_t i = 0; i < n; ++i) {
         JobSpec j;
         j.label = "job " + std::to_string(i);
@@ -50,15 +48,7 @@ planOfSize(std::size_t n, bool deriveSeeds = true)
     return plan;
 }
 
-std::string
-shardBytes(const PlanShard &shard)
-{
-    std::ostringstream out(std::ios::binary);
-    serializeShard(shard, out);
-    return out.str();
-}
-
-TEST(PlanShard, PartitionCoversEveryJobExactlyOnce)
+TEST(TaskPlans, PartitionCoversEveryJobExactlyOnce)
 {
     for (std::size_t n : {0u, 1u, 2u, 3u, 5u, 19u, 64u, 100u}) {
         for (std::uint32_t k : {1u, 2u, 3u, 4u, 7u, 16u, 100u}) {
@@ -87,150 +77,44 @@ TEST(PlanShard, PartitionCoversEveryJobExactlyOnce)
     }
 }
 
-TEST(PlanShard, MakeShardsSkipsEmptyShardsAndKeepsOrder)
+TEST(TaskPlans, ExecutionReassemblesToInProcessResults)
 {
-    // 0 jobs: nothing to run, no shards at all.
-    EXPECT_TRUE(makeShards(planOfSize(0), 3).empty());
-
-    // 1 job into 3 shards: exactly one non-empty shard.
-    const std::vector<PlanShard> one = makeShards(planOfSize(1), 3);
-    ASSERT_EQ(one.size(), 1u);
-    EXPECT_EQ(one[0].jobs.size(), 1u);
-    EXPECT_EQ(one[0].jobs[0].planIndex, 0u);
-    EXPECT_EQ(one[0].shardCount, 3u);
-
-    // 5 jobs into 3 shards: all jobs, in parent order.
-    const ExperimentPlan plan = planOfSize(5);
-    const std::vector<PlanShard> shards = makeShards(plan, 3);
-    const std::string digest = planDigest(plan);
-    std::size_t expect = 0;
-    for (const PlanShard &s : shards) {
-        EXPECT_EQ(s.planDigest, digest);
-        EXPECT_EQ(s.baseSeed, plan.baseSeed);
-        EXPECT_EQ(s.deriveSeeds, plan.deriveSeeds);
-        for (const ShardJob &sj : s.jobs) {
-            EXPECT_EQ(sj.planIndex, expect);
-            EXPECT_EQ(sj.job.label, plan.jobs[expect].label);
-            ++expect;
-        }
-    }
-    EXPECT_EQ(expect, plan.jobs.size());
-}
-
-TEST(PlanShard, ShardPlanSeedsMatchInProcessDerivation)
-{
-    // The contract multi-process determinism rests on: a sharded
-    // job's seeds equal what BatchRunner::run derives for the same
-    // job in-process, for every shard geometry.
-    const ExperimentPlan plan = planOfSize(7);
-    for (std::uint32_t k : {1u, 2u, 3u, 7u, 10u}) {
-        for (const PlanShard &shard : makeShards(plan, k)) {
-            const ExperimentPlan resolved = shardPlan(shard);
-            EXPECT_FALSE(resolved.deriveSeeds)
-                << "resolved shard plans must not re-derive";
-            ASSERT_EQ(resolved.jobs.size(), shard.jobs.size());
-            for (std::size_t i = 0; i < shard.jobs.size(); ++i) {
-                JobSpec expected = plan.jobs[shard.jobs[i].planIndex];
-                BatchRunner::applyDerivedSeed(
-                    expected, plan.baseSeed,
-                    static_cast<std::size_t>(
-                        shard.jobs[i].planIndex));
-                EXPECT_EQ(resolved.jobs[i].workloadParams.seed,
-                          expected.workloadParams.seed);
-                EXPECT_EQ(resolved.jobs[i].spec.noise.seed,
-                          expected.spec.noise.seed);
-            }
-        }
-    }
-
-    // Without seed derivation the jobs pass through untouched.
-    const ExperimentPlan manual = planOfSize(4, false);
-    for (const PlanShard &shard : makeShards(manual, 2)) {
-        const ExperimentPlan resolved = shardPlan(shard);
-        for (std::size_t i = 0; i < shard.jobs.size(); ++i)
-            EXPECT_EQ(resolved.jobs[i].workloadParams.seed,
-                      manual.jobs[shard.jobs[i].planIndex]
-                          .workloadParams.seed);
-    }
-}
-
-TEST(PlanShard, ShardFileRoundTripsBitIdentically)
-{
-    const std::vector<PlanShard> shards =
-        makeShards(planOfSize(5), 2);
-    for (const PlanShard &shard : shards) {
-        const std::string bytes = shardBytes(shard);
-        std::istringstream in(bytes, std::ios::binary);
-        const PlanShard back = deserializeShard(in, "mem");
-        EXPECT_EQ(back.planDigest, shard.planDigest);
-        EXPECT_EQ(back.shardIndex, shard.shardIndex);
-        EXPECT_EQ(back.shardCount, shard.shardCount);
-        EXPECT_EQ(back.baseSeed, shard.baseSeed);
-        EXPECT_EQ(back.deriveSeeds, shard.deriveSeeds);
-        ASSERT_EQ(back.jobs.size(), shard.jobs.size());
-        // serialize(deserialize(x)) == x, byte for byte.
-        EXPECT_EQ(shardBytes(back), bytes);
-    }
-}
-
-TEST(PlanShard, CorruptShardFilesRaiseRecoverableIoError)
-{
-    const PlanShard shard = makeShards(planOfSize(3), 1).at(0);
-    const std::string good = shardBytes(shard);
-
-    // Truncation at many offsets, including mid-header and mid-job.
-    for (std::size_t len = 0; len < good.size();
-         len += std::max<std::size_t>(1, good.size() / 37)) {
-        std::istringstream in(good.substr(0, len),
-                              std::ios::binary);
-        EXPECT_THROW((void)deserializeShard(in, "trunc"), IoError)
-            << "truncated at " << len;
-    }
-
-    // A flipped bit anywhere must never crash; most positions
-    // throw, and none may be silently accepted as a different
-    // valid shard with the same digest intact.
-    for (std::size_t pos = 0; pos < good.size();
-         pos += std::max<std::size_t>(1, good.size() / 61)) {
-        std::string bad = good;
-        bad[pos] = static_cast<char>(bad[pos] ^ 0x40);
-        std::istringstream in(bad, std::ios::binary);
-        try {
-            const PlanShard back = deserializeShard(in, "flip");
-            EXPECT_EQ(shardBytes(back), bad)
-                << "a decode that succeeds must reflect the "
-                   "actual bytes, not the original";
-        } catch (const IoError &) {
-            // recoverable by contract
-        }
-    }
-
-    // Missing file.
-    EXPECT_THROW((void)deserializeShard("/nonexistent/x.tpshard"),
-                 IoError);
-}
-
-TEST(PlanShard, ShardedExecutionReassemblesToInProcessResults)
-{
-    // Execute every shard through its own BatchRunner — exactly what
-    // worker processes do — and compare against one in-process run.
+    // Cut the plan into task plans as the dispatch coordinator does,
+    // ship each through the plan codec and its own BatchRunner —
+    // exactly what runners do — and compare against one in-process
+    // run.
     const ExperimentPlan plan = planOfSize(5);
     const std::vector<BatchResult> reference =
         BatchRunner(BatchOptions{}).run(plan);
 
     std::vector<BatchResult> all;
-    for (const PlanShard &shard : makeShards(plan, 3)) {
-        std::vector<BatchResult> rs =
-            BatchRunner(BatchOptions{}).run(shardPlan(shard));
-        for (BatchResult &r : rs)
+    const std::uint32_t tasks = 3;
+    for (std::uint32_t t = 0; t < tasks; ++t) {
+        const auto [first, last] =
+            shardRange(plan.jobs.size(), t, tasks);
+        ExperimentPlan task;
+        task.deriveSeeds = false;
+        for (std::size_t j = first; j < last; ++j) {
+            JobSpec job = plan.jobs[j];
+            BatchRunner::applyDerivedSeed(job, plan.baseSeed, j);
+            task.jobs.push_back(std::move(job));
+        }
+        std::stringstream file(std::ios::in | std::ios::out |
+                               std::ios::binary);
+        serializePlan(task, file);
+        for (BatchResult &r : BatchRunner(BatchOptions{})
+                                  .run(deserializePlan(file, "task"))) {
+            r.index += first; // task-local -> plan index
             all.push_back(std::move(r));
+        }
     }
     ASSERT_EQ(all.size(), plan.jobs.size());
 
-    // makeShards is contiguous and ordered, so the concatenation is
-    // already in parent submission order.
+    // The parts are contiguous and ordered, so the concatenation is
+    // already in plan submission order.
     for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
         SCOPED_TRACE(plan.jobs[i].label);
+        EXPECT_EQ(all[i].index, i);
         EXPECT_EQ(all[i].label, reference[i].label);
         ASSERT_TRUE(all[i].sampled.has_value());
         EXPECT_EQ(all[i].sampled->result.totalCycles,

@@ -3,9 +3,9 @@
  * Distributed campaign coordinator and runner (harness/dispatch).
  *
  * Coordinator (default role): split a serialized ExperimentPlan into
- * cost-ordered shard tasks, publish them into a spool directory,
- * optionally spawn local runner processes, live-tail the result
- * streams and print the standard streaming report — byte-identical
+ * cost-ordered tasks, publish each into a spool directory as a plan
+ * file, optionally spawn local runner processes, live-tail the
+ * result streams and print the standard streaming report — byte-identical
  * (host wall-clock aside) to replaying the plan with --jobs=1.
  *
  *   taskpoint_dispatch --plan=FILE [--spool=DIR] [--runners=N]
@@ -18,8 +18,8 @@
  *                      [--fault-plan=FILE] [--keep-spool]
  *
  * With --checkpoint-dir, sampled jobs with recorded checkpoints are
- * split into per-interval slices before sharding, so one job's
- * slices run in parallel across the fleet.
+ * split into per-interval slices before the split into tasks, so one
+ * job's slices run in parallel across the fleet.
  *
  * Runner: join an existing spool (possibly on another machine via a
  * shared filesystem), claim tasks, execute them, stream results
@@ -71,8 +71,8 @@ runnerMain(const CliArgs &args)
     ro.batch.jobs = jobsFlag(args, 1);
     ro.batch.progress = false; // per-job lines drown the heartbeat
     ro.batch.cache = cache.get();
-    // Runners record and restore through the store; slice expansion
-    // stays with the coordinator (runDispatchRunner turns it off).
+    // Runners record and restore through the store; slice jobs the
+    // coordinator already cut pass through BatchRunner's expansion.
     ro.batch.checkpoints = checkpoints.get();
 
     const std::size_t executed = harness::runDispatchRunner(ro);
@@ -138,7 +138,7 @@ main(int argc, char **argv)
               "local runner processes the coordinator spawns "
               "(default 0: external runners join via --runner)"},
              {"shards",
-              "shard tasks to split the plan into (default "
+              "tasks to split the plan into (default "
               "2x runners; one result stream exists per task)"},
              {"runner", "run as a runner joining --spool"},
              {"runner-id",
