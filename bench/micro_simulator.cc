@@ -2,11 +2,16 @@
  * @file
  * Micro-benchmarks of the simulator substrate (google-benchmark):
  * cache lookups, synthetic instruction-stream generation, detailed
- * core throughput, and end-to-end engine runs in both modes.
+ * core throughput, end-to-end engine runs in both modes, and the
+ * overhead probes of the switched-off execution tracing and fault
+ * hooks:
+ *
+ *   ./micro_simulator --benchmark_filter='FaultPoint|EngineSampledRun'
  */
 
 #include <benchmark/benchmark.h>
 
+#include "common/fault_injection.hh"
 #include "common/flat_map.hh"
 #include "common/rng.hh"
 #include "cpu/rob_core.hh"
@@ -14,6 +19,7 @@
 #include "memory/cache.hh"
 #include "memory/hierarchy.hh"
 #include "sim/event_queue.hh"
+#include "sim/trace_observer.hh"
 #include "trace/instr_stream.hh"
 #include "trace/trace_builder.hh"
 #include "workloads/workloads.hh"
@@ -192,24 +198,83 @@ BM_EngineDetailedRun(benchmark::State &state)
 }
 BENCHMARK(BM_EngineDetailedRun)->Unit(benchmark::kMillisecond);
 
+/**
+ * Keep the probe an out-of-line call per iteration so it times the
+ * macro as sites actually use it, not a hoisted remnant of it.
+ */
+[[gnu::noinline]] std::uint64_t
+faultPointOnce(std::uint64_t i)
+{
+    FAULT_POINT("micro.fault.probe");
+    return i;
+}
+
+/**
+ * The zero-overhead-when-off contract of common/fault_injection: one
+ * inactive FAULT_POINT (no plan installed) per iteration.
+ */
+void
+BM_FaultPointInactive(benchmark::State &state)
+{
+    fault::clearFaultPlan();
+    std::uint64_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(faultPointOnce(i++));
+}
+BENCHMARK(BM_FaultPointInactive);
+
+/** The runs BM_EngineSampledRun's argument selects. */
+enum SampledVariant : std::int64_t
+{
+    kLazy,
+    kAdaptive,
+    kTraced,
+    kInertPlan,
+};
+
+/**
+ * One sampled histogram run per iteration. Beside the plain lazy run
+ * sit the adaptive policy at a 1% CI target and the two
+ * zero-overhead-when-off contracts: a TimelineRecorder attached
+ * (sim/trace_observer; the plain run is the null-observer fast path)
+ * and an installed fault plan whose one rule names a site that never
+ * fires.
+ */
 void
 BM_EngineSampledRun(benchmark::State &state)
 {
+    const auto variant = static_cast<SampledVariant>(state.range(0));
     work::WorkloadParams wp;
     wp.scale = 0.015;
     const trace::TaskTrace t =
         work::generateWorkload("histogram", wp);
+    const sampling::SamplingParams params =
+        variant == kAdaptive ? sampling::SamplingParams::adaptive(0.01)
+                             : sampling::SamplingParams::lazy();
+    static const char *const kLabels[] = {"lazy", "adaptive",
+                                          "traced", "inert-plan"};
+    state.SetLabel(kLabels[variant]);
+
+    if (variant == kInertPlan)
+        fault::installFaultPlan(fault::parseFaultPlan(
+            "taskpoint-fault-plan v1\non micro.fault.never 1 delay 1\n",
+            "inert"));
+    harness::RunSpec spec;
+    spec.arch = cpu::highPerformanceConfig();
+    spec.threads = 8;
     for (auto _ : state) {
-        harness::RunSpec spec;
-        spec.arch = cpu::highPerformanceConfig();
-        spec.threads = 8;
+        sim::TimelineRecorder recorder;
         benchmark::DoNotOptimize(
-            harness::runSampled(t, spec,
-                                sampling::SamplingParams::lazy())
+            harness::runSampled(t, spec, params, nullptr,
+                                variant == kTraced ? &recorder
+                                                   : nullptr)
                 .result.totalCycles);
     }
+    fault::clearFaultPlan();
 }
-BENCHMARK(BM_EngineSampledRun)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineSampledRun)
+    ->DenseRange(kLazy, kInertPlan)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -15,12 +15,13 @@
  * Activation mirrors the trace observers' null-object discipline:
  * with no plan installed, a FAULT_POINT compiles to one relaxed
  * atomic pointer load and a never-taken branch — the hot paths pay
- * nothing (perf_smoke's fault-overhead probe holds this to within
- * noise). Plans load from `--fault-plan=<file>` or the
- * TASKPOINT_FAULT_PLAN environment variable; the CLI layer exports
- * the variable so spawned runners inherit the plan, and an
- * optional `once` marker prefix arbitrates fleet-wide faults (e.g.
- * "exactly one runner aborts") through O_CREAT|O_EXCL claims.
+ * nothing (micro_simulator's BM_FaultPointInactive and its
+ * inert-plan BM_EngineSampledRun hold this to within noise). Plans
+ * load from `--fault-plan=<file>` or the TASKPOINT_FAULT_PLAN
+ * environment variable; the CLI layer exports the variable so
+ * spawned runners inherit the plan, and an optional `once` marker
+ * prefix arbitrates fleet-wide faults (e.g. "exactly one runner
+ * aborts") through O_CREAT|O_EXCL claims.
  */
 
 #ifndef TP_COMMON_FAULT_INJECTION_HH

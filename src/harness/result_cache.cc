@@ -477,10 +477,8 @@ ResultCache::storePayload(const std::string &key,
             .string();
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            warn("result cache: cannot write '%s'", tmp.c_str());
-            return;
-        }
+        if (!out)
+            throwIoError("cannot write '%s'", tmp.c_str());
         BinaryWriter w(out);
         w.pod(kEntryMagic);
         w.pod(kEnvelopeVersion);
@@ -490,10 +488,9 @@ ResultCache::storePayload(const std::string &key,
                   static_cast<std::streamsize>(payload.size()));
         w.pod(fnv1a(payload.data(), payload.size()));
         if (!w.good()) {
-            warn("result cache: error writing '%s'", tmp.c_str());
             std::error_code ec;
             fs::remove(tmp, ec);
-            return;
+            throwIoError("error writing '%s'", tmp.c_str());
         }
     }
 
@@ -533,10 +530,10 @@ ResultCache::storePayload(const std::string &key,
     std::error_code ec;
     fs::rename(tmp, path, ec); // atomic publish
     if (ec) {
-        warn("result cache: cannot publish '%s': %s", path.c_str(),
-             ec.message().c_str());
+        const std::string why = ec.message();
         fs::remove(tmp, ec);
-        return;
+        throwIoError("cannot publish '%s': %s", path.c_str(),
+                     why.c_str());
     }
 
     std::error_code sec;

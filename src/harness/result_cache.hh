@@ -260,7 +260,11 @@ class ResultCache
      */
     template <typename Encode>
     void storeGuarded(const std::string &key, Encode encode);
-    /** Publish `payload` under `key` (atomic rename), then evict. */
+    /**
+     * Publish `payload` under `key` (atomic rename), then evict.
+     * @throw IoError when the entry cannot be written or published
+     *        (its temp file removed)
+     */
     void storePayload(const std::string &key,
                       const std::string &payload);
     /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 
 #include "common/binary_io.hh"
 #include "common/hash.hh"
@@ -181,6 +182,8 @@ EnvelopeStreamReader::poll(std::vector<std::string> &out)
     // trailer is the 8-byte payload checksum.
     constexpr std::uint64_t kHeader = 8 + 4 + 8;
     constexpr std::uint64_t kTrailer = 8;
+    constexpr auto kMaxStreamOffset = static_cast<std::uint64_t>(
+        std::numeric_limits<std::streamoff>::max());
 
     std::size_t consumed = 0;
     while (size - offset_ >= kHeader) {
@@ -197,6 +200,14 @@ EnvelopeStreamReader::poll(std::vector<std::string> &out)
                          path_.c_str(),
                          static_cast<unsigned long long>(offset_));
         const auto len = r.pod<std::uint64_t>();
+        // No file can hold a payload longer than its largest offset,
+        // so such a length is corruption, not an in-flight append.
+        // Bounding it also keeps the sum below from wrapping.
+        if (len > kMaxStreamOffset)
+            throwIoError("'%s': corrupt envelope length at offset "
+                         "%llu",
+                         path_.c_str(),
+                         static_cast<unsigned long long>(offset_));
         // An incomplete tail is the normal live-stream state: the
         // writer appended the header (or part of the payload) but
         // not yet the rest. Leave the cursor for the next poll.

@@ -20,7 +20,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -213,6 +215,52 @@ TEST(EnvelopeStream, CorruptionAndShrinkRaiseIoError)
         std::ofstream(path, std::ios::binary) << good;
         out.clear();
         EXPECT_THROW((void)reader.poll(out), IoError);
+    }
+}
+
+TEST(EnvelopeStream, LengthThatCanNeverFitRaisesIoError)
+{
+    const fs::path dir = freshDir("hugelen");
+    const std::string path = (dir / "s.tprs").string();
+    std::ostringstream framed(std::ios::binary);
+    sim::writeEnvelope(framed, "payload");
+    std::string bad = framed.str();
+    // The length field follows magic(8) + version(4). This length
+    // wraps a naive "header + len + trailer" completeness check.
+    const std::uint64_t huge = UINT64_MAX - 8;
+    std::memcpy(&bad[12], &huge, sizeof huge);
+    std::ofstream(path, std::ios::binary) << bad;
+
+    sim::EnvelopeStreamReader reader(path);
+    std::vector<std::string> out;
+    EXPECT_THROW((void)reader.poll(out), IoError);
+    EXPECT_TRUE(out.empty());
+}
+
+TEST(EnvelopeStream, EverySingleBitFlipIsRejectedOrWithheld)
+{
+    const fs::path dir = freshDir("bitflip");
+    const std::string path = (dir / "s.tprs").string();
+    const std::string payload = "checksummed payload bytes";
+    std::ostringstream framed(std::ios::binary);
+    sim::writeEnvelope(framed, payload);
+    const std::string good = framed.str();
+
+    for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+        SCOPED_TRACE("bit " + std::to_string(bit));
+        std::string bad = good;
+        bad[bit / 8] =
+            static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+        std::ofstream(path, std::ios::binary) << bad;
+        sim::EnvelopeStreamReader reader(path);
+        std::vector<std::string> out;
+        try {
+            reader.poll(out);
+        } catch (const IoError &) {
+            continue;
+        }
+        // Not rejected: the flip must read as an incomplete tail.
+        EXPECT_TRUE(out.empty());
     }
 }
 

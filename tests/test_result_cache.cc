@@ -3,8 +3,9 @@
  * Tests of the on-disk result cache: bit-identical replay of both
  * reference SimResults and sampled outcomes, single-field key
  * sensitivity (including sampling parameters), torn/truncated-entry
- * detection, LRU eviction under the size cap, and
- * read-only/shared-directory behaviour.
+ * detection, LRU eviction under the size cap, counted and
+ * once-warned store failures, and read-only/shared-directory
+ * behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -401,6 +402,30 @@ TEST_F(ResultCacheTest, ReadOnlyModeNeverWrites)
     cache.store(otherKey, fresh);
     EXPECT_FALSE(cache.contains(otherKey));
     EXPECT_EQ(cache.stats().stores, 0u);
+}
+
+TEST_F(ResultCacheTest, RealStoreFailuresAreCountedAndWarnedOnce)
+{
+    ResultCache cache(options());
+    // A regular file where the directory was: every temp-file open
+    // fails, even for root (which a chmod'ed directory would not
+    // stop).
+    fs::remove_all(dir_);
+    std::ofstream(dir_) << "not a directory";
+
+    testing::internal::CaptureStderr();
+    EXPECT_NO_THROW(cache.storeBlob("first", "payload"));
+    EXPECT_NO_THROW(cache.storeBlob("second", "payload"));
+    const std::string err = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(cache.stats().failedStores, 2u);
+    EXPECT_EQ(cache.stats().stores, 0u);
+    std::size_t warnings = 0;
+    for (std::size_t at = err.find("store failed");
+         at != std::string::npos;
+         at = err.find("store failed", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
 }
 
 TEST_F(ResultCacheTest, SampledEntryReplaysBitIdentical)
