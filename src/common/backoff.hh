@@ -10,6 +10,12 @@
  * each fruitless poll doubles the sleep up to a cap, and any progress
  * resets it to the minimum, so a busy stream is tailed near-instantly
  * while an idle coordinator converges to the cap.
+ *
+ * A hold keeps the first few fruitless polls after a reset at the
+ * minimum before the doubling starts. Without it, work that arrives
+ * a few milliseconds after the poller went idle waits for whichever
+ * doubling step it falls into (2, 6, 14, 30 ms ...), so a small delay
+ * upstream can turn into a delay of twice its size here.
  */
 
 #ifndef TP_COMMON_BACKOFF_HH
@@ -30,16 +36,23 @@ class PollBackoff
      * @param min sleep after a poll that made progress (and the
      *            first fruitless one)
      * @param max cap the doubling converges to
+     * @param hold fruitless polls after a reset that sleep `min`
+     *             before the doubling starts
      */
     PollBackoff(std::chrono::milliseconds min,
-                std::chrono::milliseconds max)
-        : min_(min), max_(max), current_(min)
+                std::chrono::milliseconds max, unsigned hold = 0)
+        : min_(min), max_(max), current_(min), hold_(hold), held_(0)
     {
         tp_assert(min.count() > 0 && max >= min);
     }
 
     /** The poll made progress: drop back to the minimum interval. */
-    void reset() { current_ = min_; }
+    void
+    reset()
+    {
+        current_ = min_;
+        held_ = 0;
+    }
 
     /** @return the interval the next fruitless poll should sleep. */
     std::chrono::milliseconds current() const { return current_; }
@@ -52,7 +65,10 @@ class PollBackoff
     next()
     {
         const std::chrono::milliseconds sleep = current_;
-        current_ = std::min(max_, current_ * 2);
+        if (held_ < hold_)
+            ++held_;
+        else
+            current_ = std::min(max_, current_ * 2);
         return sleep;
     }
 
@@ -63,6 +79,8 @@ class PollBackoff
     std::chrono::milliseconds min_;
     std::chrono::milliseconds max_;
     std::chrono::milliseconds current_;
+    unsigned hold_;
+    unsigned held_;
 };
 
 } // namespace tp

@@ -46,6 +46,18 @@ validatePlanJobs(const ExperimentPlan &plan)
     }
 }
 
+std::string
+traceSourceKey(const JobSpec &job)
+{
+    if (!job.traceFile.empty())
+        return "f:" + job.traceFile;
+    const work::WorkloadParams &p = job.workloadParams;
+    return "w:" + job.workload + ":" +
+           toHex(std::bit_cast<std::uint64_t>(p.scale)) +
+           toHex(std::bit_cast<std::uint64_t>(p.instrScale)) +
+           toHex(p.seed);
+}
+
 /** One realized trace plus its content digest (when caching). */
 struct BatchRunner::TraceEntry
 {
@@ -85,7 +97,7 @@ class BatchRunner::TraceStore
     EntryPtr
     get(const JobSpec &job, bool wantDigest)
     {
-        const std::string key = sourceKey(job);
+        const std::string key = traceSourceKey(job);
         std::promise<EntryPtr> promise;
         std::shared_future<EntryPtr> future;
         bool builder = false;
@@ -111,24 +123,6 @@ class BatchRunner::TraceStore
     }
 
   private:
-    /**
-     * Memoization key of a job's trace source. Workload traces are
-     * pure functions of (name, params), so the key is the name plus
-     * the bit patterns of every parameter; file traces key on the
-     * path (the file must not change during the runner's lifetime).
-     */
-    static std::string
-    sourceKey(const JobSpec &job)
-    {
-        if (!job.traceFile.empty())
-            return "f:" + job.traceFile;
-        const work::WorkloadParams &p = job.workloadParams;
-        return "w:" + job.workload + ":" +
-               toHex(std::bit_cast<std::uint64_t>(p.scale)) +
-               toHex(std::bit_cast<std::uint64_t>(p.instrScale)) +
-               toHex(p.seed);
-    }
-
     std::mutex mu_;
     std::map<std::string, std::shared_future<EntryPtr>> slots_;
 };

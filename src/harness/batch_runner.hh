@@ -12,10 +12,10 @@
  * hold in memory can still be reported incrementally.
  *
  * Trace sharing: jobs describe their trace by value (workload name +
- * params, or a trace-file path), and the runner memoizes realization,
- * so many jobs naming the same source share one in-memory TaskTrace
- * and one content digest; distinct traces still generate/load
- * concurrently on the workers that first need them.
+ * params, or a trace-file path), and the runner memoizes realization
+ * by traceSourceKey(), so many jobs naming the same source share one
+ * in-memory TaskTrace and one content digest; distinct traces still
+ * generate/load concurrently on the workers that first need them.
  *
  * Determinism: each job's RNG seeds (workload synthesis and noise
  * injection) are derived from (plan.baseSeed, job index) alone —
@@ -52,6 +52,17 @@ class ResultCache;
  * @throws SimError describing the first offending job
  */
 void validatePlanJobs(const ExperimentPlan &plan);
+
+/**
+ * @return the key of the trace source `job` names — the key
+ *         BatchRunner memoizes realized traces by, and the dispatch
+ *         coordinator groups a campaign's jobs by. Workload traces
+ *         are pure functions of (name, params), so the key is the
+ *         name plus the bit patterns of every parameter; file traces
+ *         key on the path (the file must not change while a runner
+ *         memoizes it).
+ */
+std::string traceSourceKey(const JobSpec &job);
 
 /**
  * Batch-wide *execution environment* options. Everything here may

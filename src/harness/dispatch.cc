@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,7 +11,6 @@
 #include <memory>
 #include <set>
 #include <sstream>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -81,28 +79,18 @@ timelinesMarker(const SpoolPaths &spool)
 
 /**
  * @return whether two workload jobs of `plan` realize the same trace
- *         (same workload name and parameter bits, the key BatchRunner
- *         memoizes traces by), i.e. whether memoizing workload traces
- *         can pay off. Tasks of a derived-seed plan carry unique
- *         seeds, so they never do.
+ *         (the same traceSourceKey), i.e. whether memoizing workload
+ *         traces can pay off. Tasks of a derived-seed plan carry
+ *         unique seeds, so they never do.
  */
 bool
 sharesWorkloadTrace(const ExperimentPlan &plan)
 {
-    std::set<std::tuple<std::string, std::uint64_t, std::uint64_t,
-                        std::uint64_t>>
-        sources;
-    for (const JobSpec &job : plan.jobs) {
-        const work::WorkloadParams &p = job.workloadParams;
+    std::set<std::string> sources;
+    for (const JobSpec &job : plan.jobs)
         if (!job.workload.empty() &&
-            !sources
-                 .emplace(job.workload,
-                          std::bit_cast<std::uint64_t>(p.scale),
-                          std::bit_cast<std::uint64_t>(p.instrScale),
-                          p.seed)
-                 .second)
+            !sources.insert(traceSourceKey(job)).second)
             return true;
-    }
     return false;
 }
 
@@ -237,6 +225,52 @@ expectedJobCost(const JobSpec &job)
     return cost;
 }
 
+std::vector<std::vector<std::size_t>>
+cutTasks(const std::vector<JobSpec> &jobs, std::uint32_t taskCount)
+{
+    // Group by source, each group in plan order, and note whether
+    // some source's jobs are interleaved with another's.
+    std::map<std::string, std::vector<std::size_t>> groups;
+    bool contiguous = true;
+    const std::vector<std::size_t> *previous = nullptr;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        std::vector<std::size_t> &group = groups[traceSourceKey(jobs[i])];
+        if (!group.empty() && &group != previous)
+            contiguous = false;
+        group.push_back(i);
+        previous = &group;
+    }
+    std::vector<std::size_t> order;
+    order.reserve(jobs.size());
+    if (contiguous) {
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            order.push_back(i);
+    } else {
+        // Deal the groups, in key order, round-robin into one lane
+        // per task: sources of one workload sit next to each other in
+        // key order and cost alike to realize, so they spread evenly
+        // over the tasks instead of piling into whichever task the
+        // plan order happens to put them in.
+        std::vector<std::vector<std::size_t>> lanes(
+            std::max<std::uint32_t>(taskCount, 1));
+        std::size_t dealt = 0;
+        for (const auto &[key, group] : groups) {
+            std::vector<std::size_t> &lane = lanes[dealt++ % lanes.size()];
+            lane.insert(lane.end(), group.begin(), group.end());
+        }
+        for (const std::vector<std::size_t> &lane : lanes)
+            order.insert(order.end(), lane.begin(), lane.end());
+    }
+
+    std::vector<std::vector<std::size_t>> tasks(taskCount);
+    for (std::uint32_t t = 0; t < taskCount; ++t) {
+        const auto [first, last] = shardRange(order.size(), t, taskCount);
+        tasks[t].assign(order.begin() + static_cast<std::ptrdiff_t>(first),
+                        order.begin() + static_cast<std::ptrdiff_t>(last));
+    }
+    return tasks;
+}
+
 HeartbeatWriter::HeartbeatWriter(std::string path,
                                  std::chrono::milliseconds interval)
     : path_(std::move(path)), interval_(interval),
@@ -304,8 +338,12 @@ runDispatchRunner(const DispatchRunnerOptions &options)
 
     HeartbeatWriter heartbeat(spool.heartbeatFile(id),
                               options.heartbeatInterval);
-    PollBackoff idle(std::chrono::milliseconds(2),
-                     std::chrono::milliseconds(200));
+    // An idle poll is one directory listing, so a runner that just
+    // started or finished a task keeps polling every millisecond for
+    // its first 50 idle polls: a task published in that window is
+    // claimed at once, not at the next doubling step.
+    PollBackoff idle(std::chrono::milliseconds(1),
+                     std::chrono::milliseconds(200), 50);
     std::size_t executed = 0;
     while (true) {
         if (fs::exists(spool.stopFile, ec))
@@ -377,7 +415,7 @@ namespace {
 /** Coordinator-side state of one published task. */
 struct TaskState
 {
-    /** Campaign-plan index of each task job, ascending. */
+    /** Campaign-plan index of each task job, in task order. */
     std::vector<std::size_t> planIndices;
     DispatchTaskName name;
     /** Tails results/<task>.tprs (single writer, see file comment). */
@@ -452,6 +490,16 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
     if (options.collectTimelines)
         std::ofstream(timelinesMarker(spool)) << "timelines\n";
 
+    // Seeds are resolved once, by campaign-plan index, and every task
+    // — steal re-splits included — publishes its jobs from here with
+    // derivation off, so it runs exactly the jobs of an in-process
+    // run.
+    std::vector<JobSpec> resolved = plan.jobs;
+    if (plan.deriveSeeds)
+        for (std::size_t i = 0; i < resolved.size(); ++i)
+            BatchRunner::applyDerivedSeed(resolved[i], plan.baseSeed,
+                                          i);
+
     // --- Cost-model schedule -------------------------------------
     const std::uint32_t taskCount =
         options.shards != 0
@@ -465,16 +513,14 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
         std::vector<std::size_t> planIndices;
     };
     std::vector<Part> parts;
+    std::vector<std::vector<std::size_t>> cut =
+        cutTasks(resolved, taskCount);
     for (std::uint32_t i = 0; i < taskCount; ++i) {
-        const auto [first, last] =
-            shardRange(plan.jobs.size(), i, taskCount);
-        if (first == last)
+        if (cut[i].empty())
             continue;
-        Part part{i, 0.0, {}};
-        for (std::size_t j = first; j < last; ++j) {
+        Part part{i, 0.0, std::move(cut[i])};
+        for (std::size_t j : part.planIndices)
             part.cost += expectedJobCost(plan.jobs[j]);
-            part.planIndices.push_back(j);
-        }
         parts.push_back(std::move(part));
     }
     // Longest-expected-cost first so the likely stragglers start
@@ -483,16 +529,6 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
                      [](const Part &a, const Part &b) {
                          return a.cost > b.cost;
                      });
-
-    // Seeds are resolved once, by campaign-plan index, and every task
-    // — steal re-splits included — publishes its jobs from here with
-    // derivation off, so it runs exactly the jobs of an in-process
-    // run.
-    std::vector<JobSpec> resolved = plan.jobs;
-    if (plan.deriveSeeds)
-        for (std::size_t i = 0; i < resolved.size(); ++i)
-            BatchRunner::applyDerivedSeed(resolved[i], plan.baseSeed,
-                                          i);
 
     std::map<std::string, TaskState> tasks;
     std::uint32_t nextTaskId = taskCount;
@@ -629,7 +665,9 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
                   static_cast<std::size_t>(gen), why);
         }
         // Re-split across the surviving fleet. The pieces publish the
-        // same resolved jobs, so stolen work stays bit-identical.
+        // same resolved jobs, so stolen work stays bit-identical, and
+        // follow the task's source-grouped order, so a source splits
+        // only where a piece boundary falls inside its group.
         const std::size_t pieces = std::min(
             remaining.size(), std::max<std::size_t>(
                                   static_cast<std::size_t>(1),
@@ -652,8 +690,12 @@ runCampaign(const ExperimentPlan &plan, const DispatchOptions &options,
     };
 
     // --- Main loop: tail, track liveness, steal ------------------
+    // Held at the minimum for a few polls, so a gap between results
+    // as long as one trace realization does not delay noticing the
+    // next result (the campaign's last one above all) by a doubling
+    // step.
     PollBackoff backoff(std::chrono::milliseconds(1),
-                        std::chrono::milliseconds(100));
+                        std::chrono::milliseconds(100), 8);
     try {
         for (std::size_t i = 0; i < fleet; ++i)
             spawnRunner();

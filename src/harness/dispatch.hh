@@ -6,8 +6,8 @@
  * *runner* processes that need not be children of the driver — they
  * only have to see the same spool directory (a local path for
  * same-machine fleets, a shared filesystem for clusters). The
- * coordinator splits the plan into contiguous tasks, orders them with
- * a cost model, and publishes each as an ordinary plan file; runners
+ * coordinator splits the plan into tasks, orders them with a cost
+ * model, and publishes each as an ordinary plan file; runners
  * claim tasks by atomic rename, run them through the ordinary
  * BatchRunner, and append results to one envelope stream per task
  * (harness/worker); the coordinator live-tails every stream and
@@ -37,6 +37,19 @@
  *   timelines                 present while the campaign wants job
  *                             timelines: runners record and ship
  *                             them (BatchOptions::collectTimelines)
+ *
+ * Tasks are cut by trace source (cutTasks): the jobs naming one
+ * workload instance or trace file go to one task, except where a
+ * task boundary falls inside a source's group. A runner memoizes
+ * traces per task (one BatchRunner each), so this realizes and
+ * digests each trace about once per campaign; a cut by raw plan
+ * position would repeat that in every task a permuted plan scatters
+ * the source over. A plan whose sources are already contiguous — as
+ * the figure drivers emit them — is cut by position. An interleaved
+ * plan is regrouped in source-key order and its groups are dealt
+ * round-robin over the tasks, so the sources of one workload, which
+ * cost alike to realize, spread evenly over the tasks, and the tasks
+ * do not depend on how the plan happens to be permuted.
  *
  * A task plan is self-contained: the coordinator applies the
  * campaign plan's seed policy to each job by its campaign-plan index
@@ -81,6 +94,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "harness/batch_runner.hh"
 #include "harness/result_sink.hh"
@@ -143,6 +157,25 @@ void createSpool(const SpoolPaths &spool);
  * does not describe, get a neutral constant.
  */
 double expectedJobCost(const JobSpec &job);
+
+/**
+ * The coordinator's split of a campaign into tasks (see file
+ * comment). `jobs` are the campaign plan's jobs with seeds already
+ * resolved. A plan whose trace sources (traceSourceKey) are already
+ * contiguous — including every derived-seed plan, whose sources are
+ * all unique — is cut exactly as shardRange cuts it. Otherwise the
+ * jobs are grouped by source, each group in plan order; the groups,
+ * in key order, are dealt round-robin into `taskCount` lanes; and
+ * the lanes, concatenated, are cut into `taskCount` pieces with
+ * shardRange. The sources each task holds depend only on the set of
+ * jobs, not on their order, and a source spans two tasks only where
+ * a piece boundary falls inside its group.
+ *
+ * @return `taskCount` lists of campaign-plan indices (some possibly
+ *         empty), each in the grouped order the task runs its jobs in
+ */
+std::vector<std::vector<std::size_t>>
+cutTasks(const std::vector<JobSpec> &jobs, std::uint32_t taskCount);
 
 /** Coordinator-side campaign options. */
 struct DispatchOptions

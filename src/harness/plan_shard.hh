@@ -4,10 +4,11 @@
  *
  * shardRange() is the one partition rule: part i of k over n jobs
  * covers [i*n/k, (i+1)*n/k), sizes differing by at most one. The
- * dispatch coordinator (harness/dispatch) cuts a plan into spool
- * tasks with it — a contiguous part keeps the jobs of one workload,
- * which figure drivers emit consecutively, in one task, so per-source
- * trace memoization keeps paying off inside each runner — and
+ * dispatch coordinator (harness/dispatch, cutTasks) first orders an
+ * interleaved plan so that the jobs of each trace source are adjacent
+ * and then cuts that order into spool tasks with it — so a source's
+ * jobs land in one task even when the plan interleaves sources, and
+ * per-source trace memoization pays off inside each runner — and
  * checkpoint-slice expansion tiles a run's sample boundaries with it.
  *
  * Checkpoint-slice expansion (live-points). Dispatch splits a plan

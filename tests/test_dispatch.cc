@@ -4,11 +4,14 @@
  * the live-tailed envelope stream reader (incomplete tails withheld,
  * corruption recoverable), duplicate-idempotent ordered merging,
  * poll backoff, the scheduling cost model, the `--workers` campaign
- * options, in-process coordinator/runner campaigns — with and
- * without a dead runner whose work must be stolen (also a
- * non-contiguous remainder, re-split with identical seeds), with
- * runners racing the coordinator's start-up, with runners slicing
- * checkpointed jobs themselves, and with the `timelines` marker —
+ * options, the source-grouped cut of a plan into tasks, in-process
+ * coordinator/runner campaigns — with and without a dead runner
+ * whose work must be stolen (also a non-contiguous remainder,
+ * re-split with identical seeds, and a source-grouped remainder,
+ * re-split without scattering its sources), over interleaved
+ * sources, with runners racing the coordinator's start-up, with
+ * runners slicing checkpointed jobs themselves, and with the
+ * `timelines` marker —
  * and campaigns over spawned taskpoint_dispatch runner processes (a
  * runner SIGKILLed mid-stream, an unusable runner binary, checkpoint
  * slices).
@@ -26,6 +29,10 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -73,6 +80,105 @@ smallPlan(std::size_t n = 4)
         plan.jobs.push_back(j);
     }
     return plan;
+}
+
+/**
+ * `sources` x `perSource` tiny sampled jobs with pinned seeds
+ * (deriveSeeds off), so the jobs of one source share its trace.
+ * Interleaved, job i names source i % sources — the shape of a
+ * permuted sweep; otherwise each source's jobs are contiguous, as
+ * the figure drivers emit them. Jobs of one source differ in their
+ * thread count, and every label is unique.
+ */
+ExperimentPlan
+sharedSourcePlan(std::size_t sources, std::size_t perSource,
+                 bool interleaved)
+{
+    ExperimentPlan plan = smallPlan(sources * perSource);
+    plan.deriveSeeds = false;
+    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+        const std::size_t src =
+            interleaved ? i % sources : i / perSource;
+        const std::size_t rep =
+            interleaved ? i / sources : i % perSource;
+        JobSpec &j = plan.jobs[i];
+        j.workload = src % 2 == 0 ? "histogram" : "vector-operation";
+        j.workloadParams.seed = 42 + src;
+        j.spec.threads = static_cast<std::uint32_t>(2 + 2 * rep);
+        j.label = "src " + std::to_string(src) + " rep " +
+                  std::to_string(rep);
+    }
+    return plan;
+}
+
+/**
+ * @return the number of distinct (task, trace source) pairs of a
+ *         cut: how many times a runner realizes and digests a trace.
+ */
+std::size_t
+taskSourcePairs(const std::vector<JobSpec> &jobs,
+                const std::vector<std::vector<std::size_t>> &tasks)
+{
+    std::size_t pairs = 0;
+    for (const std::vector<std::size_t> &task : tasks) {
+        std::set<std::string> sources;
+        for (std::size_t i : task)
+            sources.insert(traceSourceKey(jobs[i]));
+        pairs += sources.size();
+    }
+    return pairs;
+}
+
+/** The cut of an n-job plan by raw plan position (shardRange). */
+std::vector<std::vector<std::size_t>>
+positionalCut(std::size_t n, std::uint32_t taskCount)
+{
+    std::vector<std::vector<std::size_t>> tasks(taskCount);
+    for (std::uint32_t t = 0; t < taskCount; ++t) {
+        const auto [first, last] = shardRange(n, t, taskCount);
+        for (std::size_t i = first; i < last; ++i)
+            tasks[t].push_back(i);
+    }
+    return tasks;
+}
+
+/** Every index of an n-job plan lands in exactly one task. */
+void
+expectPartition(const std::vector<std::vector<std::size_t>> &tasks,
+                std::size_t n)
+{
+    std::vector<int> seen(n, 0);
+    for (const std::vector<std::size_t> &task : tasks)
+        for (std::size_t i : task) {
+            ASSERT_LT(i, n);
+            ++seen[i];
+        }
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(seen[i], 1) << "plan index " << i;
+}
+
+/**
+ * The deterministic portion of the CSV report of `results`: every
+ * column left of the host-timing pair (wall_speedup, host_seconds).
+ */
+std::string
+deterministicCsv(const std::vector<BatchResult> &results)
+{
+    std::ostringstream out;
+    {
+        CsvSink csv(out);
+        csv.begin(results.size());
+        for (BatchResult r : results)
+            csv.consume(std::move(r));
+        csv.end();
+    }
+    std::istringstream in(out.str());
+    std::string det;
+    for (std::string line; std::getline(in, line);) {
+        const std::size_t last = line.rfind(',');
+        det += line.substr(0, line.rfind(',', last - 1)) + "\n";
+    }
+    return det;
 }
 
 /** Unique fresh directory under the test temp dir. */
@@ -310,6 +416,22 @@ TEST(PollBackoffTest, DoublesToCapAndResets)
     EXPECT_EQ(b.current(), milliseconds(2));
 }
 
+TEST(PollBackoffTest, HoldsAtMinimumBeforeDoubling)
+{
+    PollBackoff b(milliseconds(1), milliseconds(4), 2);
+    EXPECT_EQ(b.next(), milliseconds(1));
+    EXPECT_EQ(b.next(), milliseconds(1));
+    EXPECT_EQ(b.next(), milliseconds(1)) << "held twice, then doubles";
+    EXPECT_EQ(b.next(), milliseconds(2));
+    EXPECT_EQ(b.next(), milliseconds(4));
+    EXPECT_EQ(b.next(), milliseconds(4));
+    b.reset();
+    EXPECT_EQ(b.next(), milliseconds(1)) << "reset restores the hold";
+    EXPECT_EQ(b.next(), milliseconds(1));
+    EXPECT_EQ(b.next(), milliseconds(1));
+    EXPECT_EQ(b.next(), milliseconds(2));
+}
+
 TEST(DispatchCostModel, RanksModesAndSizesSensibly)
 {
     JobSpec sampled;
@@ -327,6 +449,143 @@ TEST(DispatchCostModel, RanksModesAndSizesSensibly)
     JobSpec bigger = sampled;
     bigger.workloadParams.scale *= 4;
     EXPECT_LT(expectedJobCost(sampled), expectedJobCost(bigger));
+}
+
+TEST(DispatchCut, EveryPlanIndexLandsInExactlyOneTask)
+{
+    for (const bool interleaved : {false, true})
+        for (const std::uint32_t tasks : {1u, 2u, 5u, 12u, 40u}) {
+            SCOPED_TRACE(std::to_string(tasks) + " tasks");
+            const ExperimentPlan plan =
+                sharedSourcePlan(7, 3, interleaved);
+            const auto cut = cutTasks(plan.jobs, tasks);
+            ASSERT_EQ(cut.size(), tasks);
+            expectPartition(cut, plan.jobs.size());
+        }
+}
+
+TEST(DispatchCut, PermutedPlanKeepsEachSourceInOneTask)
+{
+    // campaign-rerun's shape: 152 sources x 6 jobs, permuted, cut
+    // into 12 tasks. A task boundary can split at most one source's
+    // group, so there are at most S + T - 1 (task, source) pairs; a
+    // cut by plan position scatters a source over ~4.9 tasks.
+    const std::size_t sources = 152;
+    const std::uint32_t tasks = 12;
+    ExperimentPlan plan = sharedSourcePlan(sources, 6, false);
+    std::mt19937_64 rng(2016);
+    std::shuffle(plan.jobs.begin(), plan.jobs.end(), rng);
+
+    const auto cut = cutTasks(plan.jobs, tasks);
+    const auto positional = positionalCut(plan.jobs.size(), tasks);
+    expectPartition(cut, plan.jobs.size());
+    EXPECT_LE(taskSourcePairs(plan.jobs, cut), sources + tasks - 1);
+    for (std::uint32_t t = 0; t < tasks; ++t)
+        EXPECT_EQ(cut[t].size(), positional[t].size()) << "task " << t;
+    EXPECT_GT(taskSourcePairs(plan.jobs, positional), 3 * sources)
+        << "the shuffle left the sources contiguous";
+}
+
+TEST(DispatchCut, ContiguousSourcesAreCutByPosition)
+{
+    // Same indices in the same order as shardRange, so the published
+    // task files are byte-identical to a cut by position.
+    const ExperimentPlan plan = sharedSourcePlan(5, 3, false);
+    for (const std::uint32_t tasks : {1u, 2u, 3u, 4u, 7u, 15u, 20u})
+        EXPECT_EQ(cutTasks(plan.jobs, tasks),
+                  positionalCut(plan.jobs.size(), tasks))
+            << tasks << " tasks";
+}
+
+TEST(DispatchCut, DerivedSeedPlanIsCutInPlanOrder)
+{
+    // Every job names one source before seed resolution; resolved by
+    // plan index, every source is unique and the cut is positional.
+    ExperimentPlan plan = sharedSourcePlan(1, 9, false);
+    plan.deriveSeeds = true;
+    std::vector<JobSpec> resolved = plan.jobs;
+    for (std::size_t i = 0; i < resolved.size(); ++i)
+        BatchRunner::applyDerivedSeed(resolved[i], plan.baseSeed, i);
+    const auto cut = cutTasks(resolved, 4);
+    std::size_t next = 0;
+    for (const std::vector<std::size_t> &task : cut)
+        for (std::size_t i : task)
+            EXPECT_EQ(i, next++);
+    EXPECT_EQ(next, resolved.size());
+}
+
+TEST(DispatchCut, TraceFileJobsGroupByPath)
+{
+    // A job naming a trace file keys on its path (nothing is read).
+    std::vector<JobSpec> jobs(6);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        jobs[i].traceFile = i % 2 == 0 ? "a.tptrace" : "b.tptrace";
+    jobs[5].traceFile.clear();
+    jobs[5].workload = "histogram";
+    jobs[5].workloadParams = tinyScale();
+
+    // Interleaved, so the groups are dealt in key order: a.tptrace
+    // and the workload to the first lane, b.tptrace to the second.
+    const auto cut = cutTasks(jobs, 2);
+    ASSERT_EQ(cut.size(), 2u);
+    EXPECT_EQ(cut[0], (std::vector<std::size_t>{0, 2, 4}));
+    EXPECT_EQ(cut[1], (std::vector<std::size_t>{5, 1, 3}));
+}
+
+TEST(DispatchCut, InterleavedCutDoesNotDependOnPlanOrder)
+{
+    // Two permutations of one sweep (19 sources x 6 jobs into 5
+    // tasks, so some groups straddle a task boundary): every task
+    // realizes the same sources either way, so how much work a task
+    // holds does not depend on the order the plan lists its jobs in.
+    const ExperimentPlan sweep = sharedSourcePlan(19, 6, false);
+    const auto sourcesPerTask = [](std::uint64_t seed,
+                                   const ExperimentPlan &plan) {
+        std::vector<JobSpec> jobs = plan.jobs;
+        std::mt19937_64 rng(seed);
+        std::shuffle(jobs.begin(), jobs.end(), rng);
+        std::vector<std::set<std::string>> out;
+        for (const std::vector<std::size_t> &task : cutTasks(jobs, 5)) {
+            std::set<std::string> sources;
+            for (std::size_t i : task)
+                sources.insert(traceSourceKey(jobs[i]));
+            out.push_back(std::move(sources));
+        }
+        return out;
+    };
+    EXPECT_EQ(sourcesPerTask(1, sweep), sourcesPerTask(2, sweep));
+    EXPECT_EQ(sourcesPerTask(1, sweep), sourcesPerTask(1000, sweep));
+}
+
+TEST(DispatchCut, InterleavedSourcesOfOneWorkloadSpreadOverTasks)
+{
+    // 4 workloads x 6 sources x 3 jobs, interleaved, into 4 tasks.
+    // Sources of one workload cost alike to realize; dealt in key
+    // order they land at most two per task, where grouping them by
+    // plan position could put all six in one task.
+    const std::vector<std::string> workloads = {
+        "histogram", "vector-operation", "reduction", "canneal"};
+    ExperimentPlan plan = smallPlan(4 * 6 * 3);
+    plan.deriveSeeds = false;
+    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+        const std::size_t src = i % 24;
+        JobSpec &j = plan.jobs[i];
+        j.workload = workloads[src / 6];
+        j.workloadParams.seed = 42 + src;
+        j.label = "src " + std::to_string(src) + " rep " +
+                  std::to_string(i / 24);
+    }
+    const auto cut = cutTasks(plan.jobs, 4);
+    expectPartition(cut, plan.jobs.size());
+    for (std::size_t t = 0; t < cut.size(); ++t) {
+        std::map<std::string, std::set<std::string>> perWorkload;
+        for (std::size_t i : cut[t])
+            perWorkload[plan.jobs[i].workload].insert(
+                traceSourceKey(plan.jobs[i]));
+        for (const auto &[workload, sources] : perWorkload)
+            EXPECT_LE(sources.size(), 2u)
+                << workload << " in task " << t;
+    }
 }
 
 TEST(DispatchCli, MaxRetriesFlagParsesAndDefaults)
@@ -492,6 +751,27 @@ TEST_F(DispatchE2E, MatchesInProcessExecutionOrderedAndExact)
     options.deadAfter = milliseconds(2000);
 
     expectMatchesInProcess(plan, campaign(plan, options, 2));
+    fs::remove_all(spoolDir);
+}
+
+TEST_F(DispatchE2E, SourceGroupedTasksReportLikeOneThread)
+{
+    // Interleaved sources are regrouped into tasks, so each task runs
+    // its jobs out of plan order; the merged report must still be
+    // byte-identical to an in-process run on one thread.
+    const fs::path spoolDir = freshDir("grouped");
+    const ExperimentPlan plan = sharedSourcePlan(3, 3, true);
+    DispatchOptions options;
+    options.spoolDir = spoolDir.string();
+    options.shards = 2;
+    options.heartbeatInterval = milliseconds(20);
+
+    const std::vector<BatchResult> results = campaign(plan, options, 2);
+    BatchOptions serial;
+    serial.jobs = 1;
+    EXPECT_EQ(deterministicCsv(results),
+              deterministicCsv(BatchRunner(serial).run(plan)));
+    expectMatchesInProcess(plan, results);
     fs::remove_all(spoolDir);
 }
 
@@ -771,6 +1051,133 @@ TEST_F(DispatchSteal, ResplitResolvesIdenticalSeeds)
             << "job " << idx;
         ++at;
     }
+    fs::remove_all(spoolDir);
+}
+
+TEST_F(DispatchSteal, ResplitKeepsEachSourceInOnePiece)
+{
+    // Three interleaved sources of four jobs in one task, so the task
+    // lists its jobs grouped by source. A zombie claims it, publishes
+    // two results and goes silent while three bystander runners keep
+    // beating (they never claim); the ten remaining jobs are re-split
+    // into one piece per live runner in the task's grouped order, so
+    // a source spans two pieces only at a piece boundary: at most
+    // S + P - 1 (piece, source) pairs. Only then does a thief join
+    // to run the pieces.
+    const std::size_t sources = 3;
+    const fs::path spoolDir = freshDir("resplit_grouped");
+    const SpoolPaths spool(spoolDir.string());
+    const ExperimentPlan plan = sharedSourcePlan(sources, 4, true);
+    DispatchOptions options;
+    options.spoolDir = spoolDir.string();
+    options.shards = 1;
+    options.heartbeatInterval = milliseconds(20);
+    options.deadAfter = milliseconds(500);
+
+    // The task's job order, and the plan jobs the zombie publishes.
+    const std::vector<std::size_t> order = cutTasks(plan.jobs, 1)[0];
+    const std::set<std::size_t> published = {order[0], order[5]};
+
+    fs::create_directories(spool.runners);
+    std::vector<std::unique_ptr<HeartbeatWriter>> bystanders;
+    for (int i = 0; i < 3; ++i)
+        bystanders.push_back(std::make_unique<HeartbeatWriter>(
+            spool.heartbeatFile("idle-" + std::to_string(i)),
+            milliseconds(20)));
+
+    const auto queuedTasks = [&] {
+        std::vector<DispatchTaskName> queued;
+        std::error_code ec;
+        for (const auto &entry :
+             fs::directory_iterator(spool.queue, ec))
+            if (const auto name =
+                    parseTaskName(entry.path().stem().string()))
+                queued.push_back(*name);
+        return queued;
+    };
+    std::thread zombie([&] {
+        std::error_code ec;
+        bool claimed = false;
+        for (int tries = 0; tries < 2000 && !claimed; ++tries) {
+            const std::vector<DispatchTaskName> queued = queuedTasks();
+            if (queued.size() != 1) {
+                std::this_thread::sleep_for(milliseconds(1));
+                continue;
+            }
+            const std::string task = formatTaskName(queued.front());
+            const std::string claim = spool.claimedFile("zombie", task);
+            fs::create_directories(spool.claimedDir("zombie"), ec);
+            fs::rename(spool.queueFile(task), claim, ec);
+            ASSERT_FALSE(ec) << ec.message();
+            StreamPublishingSink publish(spool.streamFile(task));
+            FunctionSink some([&](BatchResult &&r) {
+                if (r.index == 0 || r.index == 5)
+                    publish.consume(std::move(r));
+            });
+            BatchRunner(BatchOptions{}).run(deserializePlan(claim),
+                                            some);
+            std::ofstream(spool.heartbeatFile("zombie")) << "0";
+            claimed = true;
+        }
+        EXPECT_TRUE(claimed) << "the task was never published";
+        // The thief joins once the re-split is queued, so it does not
+        // count as a live runner at the steal.
+        for (int tries = 0; tries < 20000 && queuedTasks().empty();
+             ++tries)
+            std::this_thread::sleep_for(milliseconds(1));
+        DispatchRunnerOptions ro;
+        ro.spoolDir = spool.root;
+        ro.runnerId = "thief";
+        ro.heartbeatInterval = milliseconds(20);
+        (void)runDispatchRunner(ro);
+    });
+
+    std::vector<BatchResult> results;
+    EXPECT_NO_THROW(results = campaign(plan, options, 0));
+    zombie.join();
+    bystanders.clear();
+    expectMatchesInProcess(plan, results);
+
+    std::vector<std::string> pieces;
+    std::error_code ec;
+    for (const fs::path &dir :
+         {fs::path(spool.done), fs::path(spool.claimedDir("thief"))})
+        for (const auto &entry : fs::directory_iterator(dir, ec)) {
+            const auto name =
+                parseTaskName(entry.path().stem().string());
+            if (name && name->generation == 1)
+                pieces.push_back(entry.path().string());
+        }
+    // One piece per bystander, unless the box stalled one of them
+    // past deadAfter; a single piece would prove nothing.
+    ASSERT_GE(pieces.size(), 2u);
+    EXPECT_LE(pieces.size(), 3u);
+
+    // Every remaining job is stolen exactly once, with the seeds of
+    // the campaign plan; no piece mixes sources beyond its borders.
+    std::map<std::string, std::size_t> indexOf;
+    for (std::size_t i = 0; i < plan.jobs.size(); ++i)
+        indexOf[plan.jobs[i].label] = i;
+    std::vector<int> stolen(plan.jobs.size(), 0);
+    std::size_t pairs = 0;
+    for (const std::string &piece : pieces) {
+        const ExperimentPlan replay = deserializePlan(piece);
+        EXPECT_FALSE(replay.deriveSeeds);
+        std::set<std::string> pieceSources;
+        for (const JobSpec &job : replay.jobs) {
+            ASSERT_EQ(indexOf.count(job.label), 1u) << job.label;
+            const std::size_t idx = indexOf[job.label];
+            ++stolen[idx];
+            EXPECT_EQ(jobSpecDigest(job), jobSpecDigest(plan.jobs[idx]))
+                << job.label;
+            pieceSources.insert(traceSourceKey(job));
+        }
+        pairs += pieceSources.size();
+    }
+    for (std::size_t i = 0; i < plan.jobs.size(); ++i)
+        EXPECT_EQ(stolen[i], published.count(i) ? 0 : 1)
+            << plan.jobs[i].label;
+    EXPECT_LE(pairs, sources + pieces.size() - 1);
     fs::remove_all(spoolDir);
 }
 
